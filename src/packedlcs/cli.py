@@ -1,21 +1,18 @@
 """Command-line interface: lcs, klcs, verify, bench.
 
 Reports are JSON on stdout (CSV for bench).  Exit codes: 0 success,
-1 verification failure, 2 usage error.  PACKED_LCS_TABLE_BITS overrides the
-block-tabulation bit cap.
+1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
-from . import config
 from .text_core import PackedLcsError, read_text_file
 from .lcs_engine import (
     _Ctx,
@@ -26,16 +23,15 @@ from .lcs_engine import (
     lcs_suffix_automaton,
     regime_parameters,
 )
-from .klcs_engine import klcs, max_pair_lcp_k, K_CAP
+from .klcs_engine import klcs, K_CAP
 from .sync_runs import build_sync_set
 from .oracles import (
-    OracleConfig,
     brute_max_pair_lcp,
     check_sync_set,
     klcs_dp,
     lcs_dp,
 )
-from .family_lcp import instance_from_pairs, max_pair_lcp_general, max_pair_lcp_prefix
+from .family_lcp import instance_from_pairs, max_pair_lcp_general
 from .wavelet_lcp import solve_alpha_beta
 
 
@@ -292,7 +288,6 @@ def cmd_bench(args):
             np.frombuffer(s, dtype=np.uint8), np.frombuffer(t, dtype=np.uint8)
         )
         base_ns = max(1, time.perf_counter_ns() - t0)
-        rows = []
         t0 = time.perf_counter_ns()
         if args.generator == "planted-klcs":
             res = klcs(s, t, 1)
@@ -321,18 +316,10 @@ def cmd_bench(args):
             f"{args.generator},{len(s)},{args.sigma},{rep},packed,{regime},"
             f"{length},{tns},{anchors},{sp}"
         )
-        del rows
     return 0
 
 
 def main(argv=None):
-    env_bits = os.environ.get("PACKED_LCS_TABLE_BITS")
-    if env_bits:
-        try:
-            config.set_table_bits_cap(int(env_bits))
-        except ValueError:
-            print("error: PACKED_LCS_TABLE_BITS must be an integer", file=sys.stderr)
-            return 2
     parser = argparse.ArgumentParser(prog="packedlcs")
     sub = parser.add_subparsers(dest="command", required=True)
 

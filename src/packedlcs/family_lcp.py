@@ -132,8 +132,6 @@ def max_pair_lcp_general(inst):
         return PairLcpResult(0, None, 0)
     trie1 = inst.trie1
     lcp2 = inst.lcp2
-    rank2_of = trie1  # placeholder to keep locals tight
-    del rank2_of
 
     m_total = len(inst.p_elems) + len(inst.q_elems)
     by_leaf = {}

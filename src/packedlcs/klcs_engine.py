@@ -32,7 +32,7 @@ import numpy as np
 from .text_core import PackedLcsError
 from .suffix_index import SuffixIndex, build_compacted_trie
 from .sync_runs import build_sync_set, find_tau_runs, misperiods
-from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general, PairLcpResult
+from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general
 from .wavelet_lcp import solve_alpha_beta
 from .lcs_engine import _Ctx, lcs
 

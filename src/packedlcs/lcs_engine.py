@@ -37,12 +37,7 @@ from .text_core import (
     make_alphabet,
 )
 from .suffix_index import SuffixIndex, build_compacted_trie
-from .sync_runs import (
-    build_sync_set,
-    find_tau_runs,
-    group_runs_by_root,
-    group_runs_by_root_and_tail,
-)
+from .sync_runs import build_sync_set, find_tau_runs
 from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general, max_pair_lcp_prefix
 from .wavelet_lcp import solve_alpha_beta
 
@@ -67,11 +62,6 @@ class DCover:
     def h(self, i, j):
         a = self.pair_for_delta[(j - i) % self.d]
         return (a - i) % self.d
-
-    def h_table(self):
-        if self.d > 512:
-            raise PackedLcsError("dense h table only materialized for d <= 512")
-        return [[self.h(i, j) for j in range(self.d)] for i in range(self.d)]
 
     def positions_in(self, n):
         """Sorted 1-based cover positions within [1, n]."""
@@ -788,9 +778,13 @@ def _solve_prefix_groups(ctx, groups, case):
             # rotation power.
             st_pos = pos if which == "S" else pos + ctx.ns + 1
             if case == "II":
-                assert (st_pos - run.lyndon_start) % run.period == 0
+                off_phase = (st_pos - run.lyndon_start) % run.period != 0
             else:
-                assert (run.end + 1 - run.lyndon_start) % run.period == run.tail
+                off_phase = (run.end + 1 - run.lyndon_start) % run.period != run.tail
+            if off_phase:
+                raise PackedLcsError(
+                    f"case {case} anchor at {which}{pos} is off its run's root phase"
+                )
             if case == "II":
                 run_end_in_string = run.end if which == "S" else run.end - ctx.ns - 1
                 len2 = run_end_in_string - pos + 1

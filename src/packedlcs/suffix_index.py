@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .text_core import Fragment, PackedLcsError
+from .text_core import PackedLcsError
 
 
 def suffix_array(codes):
@@ -70,7 +70,6 @@ class SparseRmq:
     def __init__(self, values):
         values = np.asarray(values, dtype=np.int64)
         n = len(values)
-        levels = max(1, n.bit_length())
         self.table = [values]
         j = 1
         while (1 << j) <= n:
@@ -78,7 +77,6 @@ class SparseRmq:
             half = 1 << (j - 1)
             self.table.append(np.minimum(prev[: n - (1 << j) + 1], prev[half : n - (1 << j) + 1 + half]))
             j += 1
-        del levels
 
     def query(self, l, r):
         if l >= r:

@@ -125,7 +125,7 @@ def highly_periodic_windows(codes, win_len, max_period):
 def _sliding_min(a, width):
     out = a[: len(a) - width + 1].copy()
     for s in range(1, width):
-        np.minimum(out, a[s : s + len(out)], out)
+        np.minimum(out, a[s : s + len(out)], out=out)
     return out
 
 

@@ -16,7 +16,7 @@ below every letter and the trailing sentinel is the unique minimal suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,7 +3,7 @@
 Pipeline: binarize the compacted trie of the first components into a
 prefix-consistent skeleton (weight-balanced splits keep the height at
 O(alpha + log M)), build a wavelet tree of the first-component symbol
-sequence, then push packed lists of adjacent second-component LCP values down
+sequence, then push lists of adjacent second-component LCP values down
 the tree; at every node the candidate answer is the node's string depth plus
 the maximum LCP between rank-adjacent elements of different origins.
 
@@ -11,10 +11,10 @@ Strings that are proper prefixes of other family members get a synthetic
 pad leaf below their trie node (the pad ranks after every letter); pad leaves
 are evaluated at the true string length, never the padded one.
 
-LCP lists are bit-packed; propagation and cross-origin maxima run the block
-recurrence with per-key memoized tables when a block's key fits the
-configured bit cap, and a vectorized bulk path (identical output) for long
-lists.
+Node lists are plain arrays (int64 LCP values, bool origins) and node bit
+vectors are bool arrays: propagation is one segmented minimum
+(np.minimum.reduceat) and the cross-origin maximum one masked argmax, with no
+lookup tables and no state kept between calls.
 """
 
 from __future__ import annotations
@@ -23,82 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .text_core import PackedLcsError
-from .family_lcp import PairLcpResult, _Best, _ordered_witness
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
-
-
-class BitVec:
-    """Packed bit vector with one absolute rank count per 512-bit block."""
-
-    __slots__ = ("n", "words", "block_rank", "ones")
-
-    def __init__(self, bits):
-        bits = np.asarray(bits, dtype=bool)
-        self.n = int(bits.size)
-        padded = np.zeros(((self.n + 63) // 64) * 64, dtype=bool)
-        padded[: self.n] = bits
-        self.words = np.packbits(padded, bitorder="little").view(np.uint64)
-        byte_counts = _POP8[self.words.view(np.uint8)]
-        per_block = np.add.reduceat(
-            byte_counts, np.arange(0, len(byte_counts), 64)
-        ) if len(byte_counts) else np.empty(0, dtype=np.uint32)
-        self.block_rank = np.concatenate(([0], np.cumsum(per_block)))
-        self.ones = int(byte_counts.sum())
-
-    def __len__(self):
-        return self.n
-
-    def get(self, i):
-        return bool((int(self.words[i >> 6]) >> (i & 63)) & 1)
-
-    def rank1(self, i):
-        """Number of set bits in [0, i)."""
-        if i <= 0:
-            return 0
-        i = min(i, self.n)
-        block = i >> 9
-        total = int(self.block_rank[block])
-        w = block << 3
-        target_word = i >> 6
-        while w < target_word:
-            total += bin(int(self.words[w])).count("1")
-            w += 1
-        rem = i & 63
-        if rem:
-            total += bin(int(self.words[target_word]) & ((1 << rem) - 1)).count("1")
-        return total
-
-    def rank0(self, i):
-        return min(i, self.n) - self.rank1(i) if i > 0 else 0
-
-    def rank_side(self, i, side):
-        return self.rank1(i) if side else self.rank0(i)
-
-    def select_side(self, k, side):
-        """Position of the (k+1)-th bit equal to side (0-based)."""
-        lo, hi = 0, self.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank_side(mid + 1, side) >= k + 1:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def bools(self):
-        return np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.n].astype(bool)
-
-    def word_bits(self, start, count):
-        """count bits starting at position start, right-aligned little-endian."""
-        w, off = start >> 6, start & 63
-        val = int(self.words[w]) >> off
-        got = 64 - off
-        if got < count and w + 1 < len(self.words):
-            val |= int(self.words[w + 1]) << got
-        return val & ((1 << count) - 1)
+from .family_lcp import PairLcpResult, _ordered_witness
 
 
 @dataclass
@@ -224,7 +150,7 @@ class WaveletTree:
     """Bit vectors of a skeleton-shaped wavelet tree over a symbol sequence."""
 
     def __init__(self, bitvecs, sizes, skel, root):
-        self.bitvecs = bitvecs  # node -> BitVec
+        self.bitvecs = bitvecs  # node -> bool array of routing bits
         self.sizes = sizes  # node -> routed subsequence length
         self.skel = skel
         self.root = root
@@ -234,11 +160,19 @@ class WaveletTree:
         v = self.root
         skel = self.skel
         while skel.leaf_symbol[v] < 0:
-            bv = self.bitvecs[v]
-            b = bv.get(i)
-            i = bv.rank1(i) if b else i - bv.rank1(i)
+            bits = self.bitvecs[v]
+            b = bits[i]
+            ones = int(np.count_nonzero(bits[:i]))
+            i = ones if b else i - ones
             v = skel.right[v] if b else skel.left[v]
         return skel.leaf_symbol[v]
+
+    def lift(self, pos, path):
+        """Sequence index of element pos of the node reached by path, a tuple
+        of (node, side) routing steps from the root downward."""
+        for node, side in reversed(path):
+            pos = int(np.flatnonzero(self.bitvecs[node] == side)[pos])
+        return pos
 
 
 def build_wavelet(seq, skel):
@@ -262,13 +196,13 @@ def build_wavelet(seq, skel):
         sizes[v] = hi - lo
         if skel.leaf_symbol[v] >= 0 or hi <= lo:
             if skel.leaf_symbol[v] < 0 and hi <= lo:
-                bitvecs[v] = BitVec(np.zeros(0, dtype=bool))
+                bitvecs[v] = np.zeros(0, dtype=bool)
                 stack.append((skel.left[v], lo, lo))
                 stack.append((skel.right[v], lo, lo))
             continue
         seg = order[lo:hi].copy()
         b = bit_mat[seq[seg], skel.node_depth[v]].astype(bool)
-        bitvecs[v] = BitVec(b)
+        bitvecs[v] = b
         nl = int((~b).sum())
         order[lo : lo + nl] = seg[~b]
         order[lo + nl : hi] = seg[b]
@@ -278,215 +212,49 @@ def build_wavelet(seq, skel):
 
 
 class LcpsList:
-    """Packed list of adjacent-LCP values over [0, beta] plus origin bits.
+    """Adjacent-LCP values over [0, beta] plus per-element origin bits.
 
     Entry 0 is 0 by construction; entry r (r >= 1) is the LCP of the second
     components of elements r-1 and r of the represented sublist.
     """
 
-    __slots__ = ("m", "beta", "bits", "per_word", "words", "origins")
+    __slots__ = ("values", "origins")
 
-    def __init__(self, values, origins, beta):
-        values = np.asarray(values, dtype=np.int64)
-        self.m = int(values.size)
-        self.beta = int(beta)
-        self.bits = max(1, int(beta).bit_length())
-        self.per_word = 64 // self.bits
-        nw = (self.m + self.per_word - 1) // self.per_word
-        padded = np.zeros(nw * self.per_word, dtype=np.uint64)
-        if self.m:
-            padded[: self.m] = values.astype(np.uint64)
-        w = np.zeros(nw, dtype=np.uint64)
-        for slot in range(self.per_word):
-            w |= padded[slot :: self.per_word] << np.uint64(slot * self.bits)
-        self.words = w
-        self.origins = origins if isinstance(origins, BitVec) else BitVec(origins)
-        if len(self.origins) != self.m:
+    def __init__(self, values, origins):
+        self.values = np.asarray(values, dtype=np.int64)
+        self.origins = np.asarray(origins, dtype=bool)
+        if self.origins.size != self.values.size:
             raise PackedLcsError("origin bits and LCP list lengths differ")
 
     def __len__(self):
-        return self.m
-
-    def values(self):
-        if self.m == 0:
-            return np.empty(0, dtype=np.int64)
-        mask = np.uint64((1 << self.bits) - 1)
-        out = np.empty(len(self.words) * self.per_word, dtype=np.uint64)
-        for slot in range(self.per_word):
-            out[slot :: self.per_word] = (self.words >> np.uint64(slot * self.bits)) & mask
-        return out[: self.m].astype(np.int64)
-
-    def value_block(self, start, count):
-        """count packed entries starting at index start, as one int."""
-        w, slot = divmod(start, self.per_word)
-        bits = self.bits
-        val = int(self.words[w]) >> (slot * bits)
-        got = self.per_word - slot
-        while got < count:
-            w += 1
-            val |= int(self.words[w]) << (got * bits)
-            got += self.per_word
-        return val & ((1 << (count * bits)) - 1)
+        return self.values.size
 
 
-_prop_tables = {}
-_cross_tables = {}
-
-
-def _block_lambda(bits):
-    lam = min(64 // bits, max(1, (config.TABLE_BITS_CAP - bits) // (bits + 1)))
-    return max(1, lam)
-
-
-def propagate_lcps(parent, bit_vec, side):
+def propagate_lcps(parent, bits, side):
     """LCPs list of the child sublist (elements whose bit equals the side),
     computed from the parent list without materializing the sublist."""
-    side_bit = 1 if side in (1, "right") else 0
-    if isinstance(bit_vec, BitVec):
-        bv = bit_vec
-    else:
-        bv = BitVec(bit_vec)
-    if len(bv) != len(parent):
+    bits = np.asarray(bits, dtype=bool)
+    if bits.size != len(parent):
         raise PackedLcsError("bit vector and LCP list lengths differ")
-    m = len(parent)
-    if m == 0:
-        return LcpsList([], [], parent.beta)
-    if m >= config.BULK_THRESHOLD:
-        return _propagate_bulk(parent, bv, side_bit)
-    return _propagate_blocks(parent, bv, side_bit)
-
-
-def _propagate_bulk(parent, bv, side_bit):
-    vals = parent.values()
-    bits = bv.bools()
-    g = parent.origins.bools()
-    keep = np.flatnonzero(bits if side_bit else ~bits)
-    if keep.size == 0:
-        return LcpsList([], [], parent.beta)
-    out = np.empty(keep.size, dtype=np.int64)
-    out[0] = 0
+    keep = np.flatnonzero(bits if side in (1, "right") else ~bits)
+    out = np.zeros(keep.size, dtype=np.int64)
     if keep.size > 1:
-        starts = keep[:-1] + 1
-        out[1:] = np.minimum.reduceat(vals[: keep[-1] + 1], starts)
-    return LcpsList(out, g[keep], parent.beta)
-
-
-def _propagate_blocks(parent, bv, side_bit):
-    bits = parent.bits
-    lam = _block_lambda(bits)
-    table = None
-    key_bits = lam * (bits + 1) + bits
-    use_table = lam >= 2 and key_bits <= config.TABLE_BITS_CAP
-    if use_table:
-        table = _prop_tables.setdefault((lam, bits, side_bit), {})
-    m = len(parent)
-    mask_v = (1 << bits) - 1
-    out_vals = []
-    out_orig = []
-    g = parent.origins
-    mu = 0  # min of pending values since the last kept element (or list start)
-    first_kept = True
-    for start in range(0, m, lam):
-        count = min(lam, m - start)
-        wbits = parent.value_block(start, count)
-        dbits = bv.word_bits(start, count)
-        if side_bit == 0:
-            dbits = (~dbits) & ((1 << count) - 1)
-        if use_table and count == lam:
-            key = (wbits << lam | dbits) << bits | mu
-            hit = table.get(key)
-            if hit is None:
-                hit = _block_step(wbits, dbits, mu, lam, bits, mask_v)
-                table[key] = hit
-            appended, mu = hit
-        else:
-            appended, mu = _block_step(wbits, dbits, mu, count, bits, mask_v)
-        for pos_in_block, val in appended:
-            idx = start + pos_in_block
-            out_orig.append(g.get(idx))
-            if first_kept:
-                out_vals.append(0)
-                first_kept = False
-            else:
-                out_vals.append(val)
-    return LcpsList(out_vals, np.array(out_orig, dtype=bool), parent.beta)
-
-
-def _block_step(wbits, dbits, mu, count, bits, mask_v):
-    """One block of the propagation recurrence: returns (kept entries as
-    (position-in-block, min-LCP-since-previous-kept), new carry minimum)."""
-    appended = []
-    cur = mu
-    for i in range(count):
-        v = (wbits >> (i * bits)) & mask_v
-        cur = v if v < cur else cur
-        if (dbits >> i) & 1:
-            appended.append((i, cur))
-            cur = mask_v  # reset; next min starts after this element
-    return appended, cur
+        # Entry j is the min over the parent entries after kept element j-1
+        # up to and including kept element j.
+        out[1:] = np.minimum.reduceat(parent.values[: keep[-1] + 1], keep[:-1] + 1)
+    return LcpsList(out, parent.origins[keep])
 
 
 def cross_origin_max(lcps):
-    """(value, index) of the max LCP at an origin boundary, or None.
-
-    Scans pairs (i-1, i) with differing origin bits; blockwise with memoized
-    tables when the key fits the cap, vectorized for long lists.
-    """
-    m = len(lcps)
-    if m < 2:
+    """(value, index) of the max LCP over pairs (i-1, i) with differing
+    origin bits (first index on ties), or None."""
+    g = lcps.origins
+    mask = g[1:] != g[:-1]
+    if not mask.any():
         return None
-    if m >= config.BULK_THRESHOLD:
-        vals = lcps.values()
-        g = lcps.origins.bools()
-        mask = g[1:] != g[:-1]
-        if not mask.any():
-            return None
-        cand = np.where(mask, vals[1:], -1)
-        i = int(np.argmax(cand))
-        return int(cand[i]), i + 1
-    bits = lcps.bits
-    lam = _block_lambda(bits)
-    key_bits = lam * (bits + 1) + 1
-    use_table = lam >= 2 and key_bits <= config.TABLE_BITS_CAP
-    table = _cross_tables.setdefault((lam, bits), {}) if use_table else None
-    mask_v = (1 << bits) - 1
-    best_v, best_i = -1, None
-    prev_g = lcps.origins.get(0)
-    # Blocks cover entries [start, start+count); pair (i-1, i) is evaluated in
-    # the block containing i, with the previous origin carried across.
-    for start in range(1, m, lam):
-        count = min(lam, m - start)
-        wbits = lcps.value_block(start, count)
-        gbits = lcps.origins.word_bits(start, count)
-        last_g = (gbits >> (count - 1)) & 1
-        if use_table and count == lam:
-            key = ((wbits << lam | gbits) << 1) | prev_g
-            hit = table.get(key)
-            if hit is None:
-                hit = _cross_step(wbits, gbits, prev_g, lam, bits, mask_v)
-                table[key] = hit
-            res = hit
-        else:
-            res = _cross_step(wbits, gbits, prev_g, count, bits, mask_v)
-        if res is not None and res[0] > best_v:
-            best_v, best_i = res[0], start + res[1]
-        prev_g = last_g
-    if best_i is None:
-        return None
-    return best_v, best_i
-
-
-def _cross_step(wbits, gbits, prev_g, count, bits, mask_v):
-    best_v, best_i = -1, None
-    g_prev = prev_g
-    for i in range(count):
-        gi = (gbits >> i) & 1
-        if gi != g_prev:
-            v = (wbits >> (i * bits)) & mask_v
-            if v > best_v:
-                best_v, best_i = v, i
-        g_prev = gi
-    return None if best_i is None else (best_v, best_i)
+    cand = np.where(mask, lcps.values[1:], -1)
+    i = int(np.argmax(cand))
+    return int(cand[i]), i + 1
 
 
 def solve_alpha_beta_core(trie1, seq, root_values, origins, beta):
@@ -495,11 +263,14 @@ def solve_alpha_beta_core(trie1, seq, root_values, origins, beta):
     trie1: compacted trie of the distinct first components (symbol s =
     leaf rank s); seq: per-element symbol ids in the order of the R list
     (sorted by second component); root_values: adjacent second-component
-    LCPs of R (entry 0 is 0); origins: per-element origin bits.
+    LCPs of R (entry 0 is 0), each at most beta; origins: per-element
+    origin bits.
 
     Returns (value, (position_a, position_b) in R) or (0, None).
     """
-    root_list = LcpsList(root_values, origins, beta)
+    root_list = LcpsList(root_values, origins)
+    if len(root_list) and root_list.values.max() > beta:
+        raise PackedLcsError(f"second-component LCP exceeds beta={beta}")
     skel = binarize_skeleton(trie1)
     wt = build_wavelet(np.asarray(seq, dtype=np.int64), skel)
 
@@ -517,20 +288,14 @@ def solve_alpha_beta_core(trie1, seq, root_values, origins, beta):
                 best_val, best_loc = val, (v, hit[1], path)
         if skel.leaf_symbol[v] >= 0:
             continue
-        bv = wt.bitvecs[v]
-        stack.append((skel.left[v], propagate_lcps(lst, bv, 0), path + ((v, 0),)))
-        stack.append((skel.right[v], propagate_lcps(lst, bv, 1), path + ((v, 1),)))
+        bits = wt.bitvecs[v]
+        stack.append((skel.left[v], propagate_lcps(lst, bits, 0), path + ((v, 0),)))
+        stack.append((skel.right[v], propagate_lcps(lst, bits, 1), path + ((v, 1),)))
 
     if best_loc is None:
         return 0, None
     _node, idx, path = best_loc
-    positions = []
-    for local in (idx - 1, idx):
-        pos = local
-        for pnode, side in reversed(path):
-            pos = wt.bitvecs[pnode].select_side(pos, side)
-        positions.append(pos)
-    return best_val, tuple(positions)
+    return best_val, (wt.lift(idx - 1, path), wt.lift(idx, path))
 
 
 def solve_alpha_beta(inst, alpha, beta):

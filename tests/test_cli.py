@@ -144,18 +144,6 @@ def test_bench_deterministic_with_no_timing(capsys):
     assert out1 == out2
 
 
-def test_env_table_bits(tmp_path, capsys, monkeypatch):
-    from packedlcs import config
-
-    old = config.TABLE_BITS_CAP
-    monkeypatch.setenv("PACKED_LCS_TABLE_BITS", "18")
-    a = write(tmp_path, "a.txt", b"banana")
-    rc, _, _ = run_cli(["lcs", a, a], capsys)
-    assert rc == 0
-    assert config.TABLE_BITS_CAP == 18
-    config.set_table_bits_cap(old)
-
-
 def test_console_entry_point():
     rc = subprocess.run(
         [sys.executable, "-m", "packedlcs.cli", "verify", "sync", "--max-n", "60"],

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from packedlcs.lcs_engine import (
+    _Ctx,
+    _solve_prefix_groups,
     build_d_cover,
     lcs,
     lcs_long,
@@ -11,6 +13,7 @@ from packedlcs.lcs_engine import (
     regime_parameters,
 )
 from packedlcs.oracles import lcs_dp
+from packedlcs.sync_runs import TauRun
 from packedlcs.text_core import PackedLcsError
 
 
@@ -142,6 +145,23 @@ def test_medium_periodic_case():
     check_witness(s, s, res)
     # The dispatcher is exact regardless (long regime takes over).
     assert lcs(s, s).length == 128
+
+
+@pytest.mark.parametrize("case", ["II", "III"])
+def test_prefix_groups_reject_anchor_off_root_phase(case):
+    # S$T = (ab)^4 $ (ab)^4; both runs have period 2 and Lyndon root "ab".
+    ctx = _Ctx(b"abababab", b"abababab")
+    run_t = TauRun(start=10, end=17, period=2, lyndon_start=10, second_lyndon_start=12, tail=0)
+    if case == "II":
+        # Anchor at S[2] sits one letter past the root phase.
+        run_s = TauRun(start=1, end=8, period=2, lyndon_start=1, second_lyndon_start=3, tail=0)
+        members = [("S", 2, run_s), ("T", 1, run_t)]
+    else:
+        # A tail of 1 contradicts the run end at a whole number of periods.
+        run_s = TauRun(start=1, end=8, period=2, lyndon_start=1, second_lyndon_start=3, tail=1)
+        members = [("S", 8, run_s), ("T", 8, run_t)]
+    with pytest.raises(PackedLcsError, match="root phase"):
+        _solve_prefix_groups(ctx, {"group": members}, case=case)
 
 
 def test_medium_planted_aperiodic():

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from packedlcs import config
 from packedlcs.family_lcp import instance_from_pairs, max_pair_lcp_general
 from packedlcs.oracles import brute_max_pair_lcp
 from packedlcs.suffix_index import build_compacted_trie
 from packedlcs.text_core import PackedLcsError
 from packedlcs.wavelet_lcp import (
-    BitVec,
     LcpsList,
     binarize_skeleton,
     build_wavelet,
     cross_origin_max,
     propagate_lcps,
     solve_alpha_beta,
+    solve_alpha_beta_core,
 )
 
 
@@ -36,32 +35,6 @@ def trie_of(strings):
 def rand_str(rng, max_len, sigma=3, min_len=0):
     n = int(rng.integers(min_len, max_len + 1))
     return "".join(chr(97 + int(c)) for c in rng.integers(0, sigma, size=n))
-
-
-# -- BitVec --
-
-
-def test_bitvec_rank_matches_popcount_scan():
-    rng = np.random.default_rng(40)
-    for n in [0, 1, 63, 64, 65, 511, 512, 513, 2000]:
-        bits = rng.random(n) < 0.4
-        bv = BitVec(bits)
-        pref = np.concatenate(([0], np.cumsum(bits)))
-        for i in range(0, n + 1, max(1, n // 37)):
-            assert bv.rank1(i) == pref[i]
-        assert list(bv.bools()) == list(bits)
-
-
-def test_bitvec_select():
-    rng = np.random.default_rng(41)
-    bits = rng.random(300) < 0.5
-    bv = BitVec(bits)
-    ones = np.flatnonzero(bits)
-    zeros = np.flatnonzero(~bits)
-    for k in range(len(ones)):
-        assert bv.select_side(k, 1) == ones[k]
-    for k in range(len(zeros)):
-        assert bv.select_side(k, 0) == zeros[k]
 
 
 # -- skeleton --
@@ -143,9 +116,8 @@ def test_wavelet_constant_sequence():
     skel = binarize_skeleton(trie_of(strings))
     seq = np.zeros(10, dtype=np.int64)
     wt = build_wavelet(seq, skel)
-    for v, bv in wt.bitvecs.items():
-        b = bv.bools()
-        assert len(set(b.tolist())) <= 1
+    for bits in wt.bitvecs.values():
+        assert len(set(bits.tolist())) <= 1
 
 
 def test_wavelet_reconstruction_random():
@@ -161,6 +133,29 @@ def test_wavelet_reconstruction_random():
         assert got == list(seq)
 
 
+def test_wavelet_lift_inverts_routing():
+    # Route every element down to its leaf by rank, then lift it back up by
+    # select; lift must return the element's own sequence index.
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        m = int(rng.integers(1, 15))
+        strings = sorted({rand_str(rng, 5, 2) for _ in range(m)})
+        skel = binarize_skeleton(trie_of(strings))
+        n = int(rng.integers(1, 600))
+        seq = rng.integers(0, len(strings), size=n).astype(np.int64)
+        wt = build_wavelet(seq, skel)
+        for i in range(0, n, max(1, n // 50)):
+            v, pos, path = skel.root, i, ()
+            while skel.leaf_symbol[v] < 0:
+                bits = wt.bitvecs[v]
+                side = int(bits[pos])
+                pos = int(np.count_nonzero(bits[:pos] == bits[pos]))
+                path += ((v, side),)
+                v = skel.right[v] if side else skel.left[v]
+            assert skel.leaf_symbol[v] == seq[i]
+            assert wt.lift(pos, path) == i
+
+
 def test_wavelet_rejects_bad_symbol():
     skel = binarize_skeleton(trie_of(["a", "b"]))
     with pytest.raises(PackedLcsError):
@@ -171,17 +166,32 @@ def test_wavelet_rejects_bad_symbol():
 
 
 def test_propagate_identity_filter():
-    lst = LcpsList([0, 3, 1, 2], [False, True, False, True], beta=4)
+    lst = LcpsList([0, 3, 1, 2], [False, True, False, True])
     out = propagate_lcps(lst, np.zeros(4, dtype=bool), 0)
-    assert list(out.values()) == [0, 3, 1, 2]
-    assert list(out.origins.bools()) == [False, True, False, True]
+    assert list(out.values) == [0, 3, 1, 2]
+    assert list(out.origins) == [False, True, False, True]
 
 
 def test_propagate_alternating_min_combination():
-    lst = LcpsList([0, 3, 1, 2], [False, False, True, True], beta=4)
+    lst = LcpsList([0, 3, 1, 2], [False, False, True, True])
     out = propagate_lcps(lst, np.array([False, True, False, True]), 0)
     # kept positions 0 and 2; entry = min(L[1..2]) = min(3,1) = 1
-    assert list(out.values()) == [0, 1]
+    assert list(out.values) == [0, 1]
+
+
+def test_lcps_list_rejects_length_mismatch():
+    with pytest.raises(PackedLcsError):
+        LcpsList([0, 1, 2], [False, True])
+    with pytest.raises(PackedLcsError):
+        propagate_lcps(LcpsList([0, 1], [False, True]), np.zeros(3, dtype=bool), 0)
+
+
+def windowed_min_lcps(vals, keep):
+    """Direct recomputation of a child list: entry j is the min of the parent
+    entries after kept element j-1 up to and including kept element j."""
+    return [0] * min(1, len(keep)) + [
+        min(vals[keep[j - 1] + 1 : keep[j] + 1]) for j in range(1, len(keep))
+    ]
 
 
 def test_propagate_matches_recomputation_random():
@@ -196,7 +206,7 @@ def test_propagate_matches_recomputation_random():
         ]
         orig = rng.random(n) < 0.5
         bits = rng.random(n) < 0.5
-        lst = LcpsList(vals, orig, beta)
+        lst = LcpsList(vals, orig)
         for side in (0, 1):
             keep = [i for i in range(n) if bool(bits[i]) == bool(side)]
             filtered = [sublist[i] for i in keep]
@@ -204,53 +214,36 @@ def test_propagate_matches_recomputation_random():
                 naive_lcp(filtered[i - 1], filtered[i]) for i in range(1, len(filtered))
             ]
             out = propagate_lcps(lst, bits, side)
-            assert list(out.values()) == want
-            assert list(out.origins.bools()) == [bool(orig[i]) for i in keep]
-
-
-def test_propagate_bulk_and_block_paths_agree():
-    rng = np.random.default_rng(46)
-    old = config.BULK_THRESHOLD
-    try:
-        n = 3000
-        beta = 9
-        vals = np.concatenate(([0], rng.integers(0, beta + 1, size=n - 1)))
-        orig = rng.random(n) < 0.5
-        bits = rng.random(n) < 0.5
-        lst = LcpsList(vals, orig, beta)
-        config.BULK_THRESHOLD = 10**9
-        a = propagate_lcps(lst, bits, 1)
-        config.BULK_THRESHOLD = 1
-        b = propagate_lcps(lst, bits, 1)
-        assert list(a.values()) == list(b.values())
-        assert list(a.origins.bools()) == list(b.origins.bools())
-        am, bm = cross_origin_max(a), cross_origin_max(b)
-        assert am == bm
-    finally:
-        config.BULK_THRESHOLD = old
+            assert list(out.values) == want == windowed_min_lcps(vals, keep)
+            assert list(out.origins) == [bool(orig[i]) for i in keep]
+    # One long list, checked against the windowed-minimum recomputation.
+    n, beta = 3000, 9
+    vals = [0] + [int(x) for x in rng.integers(0, beta + 1, size=n - 1)]
+    orig = rng.random(n) < 0.5
+    bits = rng.random(n) < 0.5
+    lst = LcpsList(vals, orig)
+    for side in (0, 1):
+        keep = [i for i in range(n) if bool(bits[i]) == bool(side)]
+        out = propagate_lcps(lst, bits, side)
+        assert list(out.values) == windowed_min_lcps(vals, keep)
+        assert list(out.origins) == [bool(orig[i]) for i in keep]
 
 
 def test_cross_origin_max_scan():
     rng = np.random.default_rng(47)
-    old = config.BULK_THRESHOLD
-    try:
-        for threshold in (1, 10**9):
-            config.BULK_THRESHOLD = threshold
-            for _ in range(300):
-                n = int(rng.integers(0, 30))
-                beta = int(rng.integers(1, 16))
-                vals = [0] * min(1, n) + [
-                    int(x) for x in rng.integers(0, beta + 1, size=max(0, n - 1))
-                ]
-                orig = rng.random(n) < 0.5
-                lst = LcpsList(vals, orig, beta)
-                want = None
-                for i in range(1, n):
-                    if orig[i] != orig[i - 1] and (want is None or vals[i] > want[0]):
-                        want = (vals[i], i)
-                assert cross_origin_max(lst) == want
-    finally:
-        config.BULK_THRESHOLD = old
+    for _ in range(300):
+        n = int(rng.integers(0, 30))
+        beta = int(rng.integers(1, 16))
+        vals = [0] * min(1, n) + [
+            int(x) for x in rng.integers(0, beta + 1, size=max(0, n - 1))
+        ]
+        orig = rng.random(n) < 0.5
+        lst = LcpsList(vals, orig)
+        want = None
+        for i in range(1, n):
+            if orig[i] != orig[i - 1] and (want is None or vals[i] > want[0]):
+                want = (vals[i], i)
+        assert cross_origin_max(lst) == want
 
 
 # -- the full solver --
@@ -274,6 +267,9 @@ def test_solver_rejects_bound_violation():
     inst = instance_from_pairs([("abc", "x")], [("a", "y")])
     with pytest.raises(PackedLcsError):
         solve_alpha_beta(inst, 2, 4)
+    # The core rejects a second-component LCP above beta.
+    with pytest.raises(PackedLcsError):
+        solve_alpha_beta_core(trie_of(["a"]), [0, 0], [0, 5], [False, True], 4)
 
 
 def test_solver_vs_brute_random():
