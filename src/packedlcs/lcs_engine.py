@@ -3,9 +3,11 @@
 Regimes, each sound everywhere and exact on its stated range:
 
 * short (tabulation windows): both strings are cut into overlapping windows
-  of length 2m at positions 1 mod m, windows are deduplicated and joined with
-  unique separators, and the LCS of the two reduced strings is computed with
-  a suffix automaton.  Exact whenever the true LCS is at most m.
+  of length 2m at positions 1 mod m.  Every position p carries the longest
+  window suffix that starts there, L(p) = min(2m - p mod m, n - p) symbols,
+  as a packed multi-word key; one sort of the S and T keys together finds the
+  longest common window substring at an adjacent S-T pair.  Exact whenever
+  the true LCS is at most m.
 
 * medium (synchronizing set + tau-run anchors over S$T): anchor pairs become
   Two String Families LCP instances; the aperiodic case is a (tau, cap)
@@ -119,7 +121,7 @@ def _verify_cover(cover):
         raise PackedLcsError(f"d-cover validation failed for d={d}")
 
 
-# -- suffix automaton (baseline LCS and the short regime's core) ------------
+# -- suffix automaton (baseline LCS) -----------------------------------------
 
 
 def lcs_suffix_automaton(a, b):
@@ -264,12 +266,14 @@ def _bitlen_u64(x):
 
 def fragment_order_and_lcps(codes, starts0, lens, idx=None, suffix_like=False):
     """Sort fragments (start, length) of one code array lexicographically and
-    return (order, adjacent LCPs of the sorted list).
+    return (order, adjacent LCPs of the sorted list).  Equal fragments keep
+    their input order.
 
     suffix_like: the fragments run to a below-letter terminator (segment
-    suffixes), so raw suffix order is already fragment order.  Without an
-    index this path sorts by packed prefix keys and resolves the rare deep
-    ties by direct scans.
+    suffixes), so raw suffix order is already fragment order; idx, when
+    given, is a SuffixIndex over codes that supplies that order.  Otherwise
+    the fragments are sorted by packed multi-word keys of their full length
+    (see _sort_packed_fragments).
     """
     starts0 = np.asarray(starts0, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
@@ -286,43 +290,43 @@ def fragment_order_and_lcps(codes, starts0, lens, idx=None, suffix_like=False):
         lcps = _subset_adjacent_lce(idx, ranks[order])
         out = np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
         return order, out.tolist()
-    maxc = int(codes.max()) if len(codes) else 0
-    bits = max(1, int(maxc + 1).bit_length())
-    cap = int(lens.max())
-    if cap * bits <= 62:
-        keys = np.zeros(m, dtype=np.uint64)
-        for t in range(cap):
-            sym = np.zeros(m, dtype=np.uint64)
-            mask = t < lens
-            sym[mask] = codes[starts0[mask] + t].astype(np.uint64) + 1
-            keys = (keys << np.uint64(bits)) | sym
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order]
-        x = ks[:-1] ^ ks[1:]
-        lead = (cap * bits - _bitlen_u64(x)) // bits
-        out = np.minimum(lead, np.minimum(lens[order][:-1], lens[order][1:]))
-        return order, out.tolist()
-    if idx is None:
-        raise PackedLcsError("fragments too wide for packed keys; need an index")
+    order, lcps = _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
+    return order, lcps.tolist()
 
-    def lce_frag(a, b):
-        ia, la = int(starts0[a]), int(lens[a])
-        ib, lb = int(starts0[b]), int(lens[b])
-        if la == 0 or lb == 0:
-            return 0
-        return min(idx.lce(ia + 1, ib + 1), la, lb)
 
-    def cmp(a, b):
-        t = lce_frag(a, b)
-        la, lb = int(lens[a]), int(lens[b])
-        if t == min(la, lb):
-            return (la > lb) - (la < lb)
-        ca, cb = int(codes[starts0[a] + t]), int(codes[starts0[b] + t])
-        return (ca > cb) - (ca < cb)
+def _sort_packed_fragments(codes, starts0, lens, width):
+    """Sort fragments of at most width symbols by packed keys; return (order,
+    adjacent LCPs of the sorted list).
 
-    order = np.array(sorted(range(m), key=cmp_to_key(cmp)), dtype=np.int64)
-    lcps = [lce_frag(int(order[r]), int(order[r + 1])) for r in range(m - 1)]
-    return order, lcps
+    A key holds code + 1 per symbol, bits = bit length of (max code + 1)
+    wide, 64 // bits symbols per uint64 word, first symbol highest, over
+    ceil(width / (64 // bits)) words.  Slots past a fragment's length stay 0,
+    so a fragment sorts before its extensions.  One stable lexsort (word 0
+    primary) orders the keys, and the first differing word of each adjacent
+    pair gives its count of common leading symbols.
+    """
+    m, n = len(starts0), len(codes)
+    bits = max(1, (int(codes.max()) + 1).bit_length()) if n else 1
+    per = 64 // bits
+    n_words = max(1, -(-width // per))
+    src = np.zeros(n + width, dtype=np.uint64)  # zero tail: reads past codes
+    src[:n] = codes + 1
+    keys = np.zeros((n_words, m), dtype=np.uint64)
+    for t in range(width):
+        sym = np.where(t < lens, src[starts0 + t], np.uint64(0))
+        keys[t // per] |= sym << np.uint64(bits * (per - 1 - t % per))
+    order = np.lexsort(keys[::-1])
+    if m < 2:
+        return order, np.empty(0, dtype=np.int64)
+    ks = keys[:, order]
+    x = ks[:, :-1] ^ ks[:, 1:]
+    word = np.argmax(x != 0, axis=0)
+    xw = x[word, np.arange(m - 1)]
+    common = np.where(
+        xw == 0, n_words * per, word * per + (per * bits - _bitlen_u64(xw)) // bits
+    )
+    lo = lens[order]
+    return order, np.minimum(common, np.minimum(lo[:-1], lo[1:]))
 
 
 def _subset_adjacent_lce(idx, sorted_ranks):
@@ -427,43 +431,34 @@ def _component_trie(codes, starts0, lens, idx=None, suffix_like=False):
 
 
 def lcs_short(s, t, m):
-    """LCS via window tabulation; exact whenever the true LCS is <= m."""
+    """LCS via window tabulation; exact whenever the true LCS is <= m, and
+    above m whenever the true LCS is.  Keys take ceil(min(2m, n) / (64 //
+    bits)) uint64 words per position of S and T."""
     if m < 1:
         raise PackedLcsError("window size m must be >= 1")
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
     return _lcs_short(ctx, m)
 
 
-def _windows(codes, m, sep_start, xpos_base=None):
-    out = []
-    pos_map = []
-    seen = {}
-    sep = sep_start
-    n = len(codes)
-    for w in range(0, n, m):
-        win = codes[w : w + 2 * m]
-        key = win.tobytes()
-        if key in seen:
-            continue
-        seen[key] = w
-        for off, c in enumerate(win):
-            out.append(int(c))
-            pos_map.append(w + off + 1)
-        out.append(sep)
-        pos_map.append(-1)
-        sep += 1
-    return out, pos_map, sep
-
-
 def _lcs_short(ctx, m):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
-    x, xpos, sep = _windows(ctx.s_codes, m, ctx.sigma)
-    y, ypos, _ = _windows(ctx.t_codes, m, sep)
-    ln, end_x, end_y = lcs_suffix_automaton(x, y)
-    if ln == 0:
+    # Windows start at multiples of m and span 2m symbols.  The one starting
+    # at m * floor(p / m) holds the longest window suffix from p; the suffix
+    # from p in the window before it is a prefix of that one.
+    lens = np.concatenate(
+        [np.minimum(2 * m - np.arange(n) % m, n - np.arange(n)) for n in (ctx.ns, ctx.nt)]
+    )
+    codes = np.concatenate([ctx.s_codes, ctx.t_codes])
+    starts0 = np.arange(ctx.ns + ctx.nt)
+    order, lcps = _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
+    from_t = order >= ctx.ns
+    vals = np.where(from_t[:-1] != from_t[1:], lcps, 0)
+    r = int(np.argmax(vals))
+    if vals[r] == 0:
         return LcsResult(0, 1, 1, "short")
-    return LcsResult(ln, xpos[end_x - ln + 1], ypos[end_y - ln + 1], "short")
+    a, b = sorted((int(order[r]), int(order[r + 1])))
+    return LcsResult(int(vals[r]), a + 1, b - ctx.ns + 1, "short")
 
 
 # -- long regime -------------------------------------------------------------
@@ -608,7 +603,7 @@ _BULK_CASE_ONE = 20000
 
 def _medium_case_one_bulk(ctx, anchors, tau, cap):
     """Vectorized case I: packed window keys, distinct-key trie, array-core
-    wavelet solve.  Requires tau and cap windows to fit one word."""
+    wavelet solve.  Requires the tau windows to fit one word."""
     from .wavelet_lcp import solve_alpha_beta_core
 
     st = ctx.st_codes()
@@ -631,12 +626,6 @@ def _medium_case_one_bulk(ctx, anchors, tau, cap):
         mask = t < l1
         sym[mask] = st[pos0[mask] - 1 - t].astype(np.uint64) + 1
         key1 = (key1 << np.uint64(bits)) | sym
-    key2 = np.zeros(len(a_all), dtype=np.uint64)
-    for t in range(cap):
-        sym = np.zeros(len(a_all), dtype=np.uint64)
-        mask = t < l2
-        sym[mask] = st[pos0[mask] + t].astype(np.uint64) + 1
-        key2 = (key2 << np.uint64(bits)) | sym
     uniq, inv = np.unique(key1, return_inverse=True)
     # Distinct first components: decode lengths and adjacent LCPs from keys.
     mask_v = np.uint64((1 << bits) - 1)
@@ -651,15 +640,8 @@ def _medium_case_one_bulk(ctx, anchors, tau, cap):
     else:
         lcp_u = np.empty(0, dtype=np.int64)
     trie1 = _trie_from_sorted(lens_u, lcp_u, np.arange(len(uniq)))
-    order = np.argsort(key2, kind="stable")
-    k2s = key2[order]
-    m = len(order)
-    root_vals = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        x2 = k2s[:-1] ^ k2s[1:]
-        lv = (cap * bits - _bitlen_u64(x2)) // bits
-        lv = np.minimum(lv, np.minimum(l2[order][:-1], l2[order][1:]))
-        root_vals[1:] = lv
+    order, lcps2 = _sort_packed_fragments(st, pos0, l2, cap)
+    root_vals = np.concatenate([[0], lcps2])
     val, positions = solve_alpha_beta_core(
         trie1, inv[order], root_vals, origin[order], cap
     )
@@ -711,8 +693,7 @@ def _medium_case_one(ctx, anchors, tau, cap):
     n = len(st)
     rev_starts = [n - (e[2] + e[3]) for e in elems]
     trie1, leaf1 = _component_trie(rev_codes, rev_starts, [e[3] for e in elems])
-    st_idx = ctx.st_index() if _needs_index(st, [e[5] for e in elems]) else None
-    trie2, leaf2 = _component_trie(st, [e[4] for e in elems], [e[5] for e in elems], st_idx)
+    trie2, leaf2 = _component_trie(st, [e[4] for e in elems], [e[5] for e in elems])
     p_elems = [(leaf1[i], leaf2[i]) for i, e in enumerate(elems) if e[0] == 0]
     q_elems = [(leaf1[i], leaf2[i]) for i, e in enumerate(elems) if e[0] == 1]
     p_ids = [i for i, e in enumerate(elems) if e[0] == 0]
@@ -727,14 +708,6 @@ def _medium_case_one(ctx, anchors, tau, cap):
         trie1.leaf_rank[p_elems[pi][0]], trie1.leaf_rank[q_elems[qi][0]]
     )
     return LcsResult(res.value, ea[1] - left, eb[1] - left, "medium")
-
-
-def _needs_index(codes, lens):
-    if not lens:
-        return False
-    maxc = int(codes.max()) if len(codes) else 0
-    bits = max(1, int(maxc + 1).bit_length())
-    return max(lens) * bits > 62
 
 
 def _medium_case_two(ctx, anchors):

@@ -240,13 +240,6 @@ def root_key(codes, run):
     return (run.period, tuple(int(c) for c in codes[ls : ls + run.period]))
 
 
-def group_runs_by_root(codes, runs):
-    groups = {}
-    for run in runs:
-        groups.setdefault(root_key(codes, run), []).append(run)
-    return groups
-
-
 def group_runs_by_root_and_tail(codes, runs):
     groups = {}
     for run in runs:

@@ -38,10 +38,14 @@ class Alphabet:
     inverse_map: tuple
 
     def encode(self, raw):
-        try:
-            return np.array([self.forward_map[b] for b in raw], dtype=np.int64)
-        except KeyError as exc:
-            raise PackedLcsError(f"byte {exc.args[0]!r} not in alphabet") from exc
+        table = np.full(256, -1, dtype=np.int64)
+        table[list(self.forward_map)] = list(self.forward_map.values())
+        byte_vals = np.frombuffer(bytes(raw), dtype=np.uint8)
+        codes = table[byte_vals]
+        missing = np.flatnonzero(codes < 0)
+        if missing.size:
+            raise PackedLcsError(f"byte {int(byte_vals[missing[0]])!r} not in alphabet")
+        return codes
 
     def decode(self, codes):
         return bytes(self.inverse_map[c] for c in codes)

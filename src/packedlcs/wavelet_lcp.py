@@ -31,12 +31,10 @@ from .family_lcp import PairLcpResult, _ordered_witness
 class SkeletonTree:
     left: list
     right: list
-    trie_node: list
     val_depth: list  # clipped string depth used for candidates
     node_depth: list
     leaf_symbol: list  # symbol id at leaves, -1 at internal nodes
     symbol_leaf: list  # symbol id -> skeleton leaf
-    path_nodes: list  # symbol id -> tuple of internal nodes, root downward
     path_bits: list  # symbol id -> tuple of 0/1 routing bits
     height: int
     root: int = 0
@@ -68,13 +66,12 @@ def binarize_skeleton(trie):
         raise PackedLcsError("empty trie has no skeleton")
 
     n_symbols = len(trie.leaf_at_rank)
-    left, right, tnode, vdepth, ndepth, lsym = [], [], [], [], [], []
+    left, right, vdepth, ndepth, lsym = [], [], [], [], []
     symbol_leaf = [-1] * n_symbols
 
-    def alloc(tn, vd, depth, sym=-1):
+    def alloc(vd, depth, sym=-1):
         left.append(-1)
         right.append(-1)
-        tnode.append(tn)
         vdepth.append(vd)
         ndepth.append(depth)
         lsym.append(sym)
@@ -104,7 +101,7 @@ def binarize_skeleton(trie):
         if len(group) == 1:
             kind, tn = group[0]
             sym = trie.leaf_rank[tn]
-            sid = alloc(tn, trie.depth[tn], depth, sym)
+            sid = alloc(trie.depth[tn], depth, sym)
         else:
             total = sum(item_weight(it) for it in group)
             acc, cut = 0, 1
@@ -113,7 +110,7 @@ def binarize_skeleton(trie):
                 cut = i + 1
                 if 2 * acc >= total:
                     break
-            sid = alloc(ptn, trie.depth[ptn], depth)
+            sid = alloc(trie.depth[ptn], depth)
             pending.append((sid, 1, group[cut:], ptn, depth + 1))
             pending.append((sid, 0, group[:cut], ptn, depth + 1))
         if parent < 0:
@@ -124,24 +121,22 @@ def binarize_skeleton(trie):
             right[parent] = sid
 
     # Per-symbol routing paths.
-    path_nodes = [None] * n_symbols
     path_bits = [None] * n_symbols
     height = 0
-    stack = [(root_id, [], [])]
+    stack = [(root_id, [])]
     while stack:
-        v, nodes, bits = stack.pop()
+        v, bits = stack.pop()
         if lsym[v] >= 0:
-            path_nodes[lsym[v]] = tuple(nodes)
             path_bits[lsym[v]] = tuple(bits)
             height = max(height, len(bits))
             continue
-        stack.append((left[v], nodes + [v], bits + [0]))
-        stack.append((right[v], nodes + [v], bits + [1]))
+        stack.append((left[v], bits + [0]))
+        stack.append((right[v], bits + [1]))
 
     return SkeletonTree(
-        left=left, right=right, trie_node=tnode, val_depth=vdepth,
+        left=left, right=right, val_depth=vdepth,
         node_depth=ndepth, leaf_symbol=lsym, symbol_leaf=symbol_leaf,
-        path_nodes=path_nodes, path_bits=path_bits, height=height,
+        path_bits=path_bits, height=height,
         root=root_id,
     )
 
@@ -149,9 +144,8 @@ def binarize_skeleton(trie):
 class WaveletTree:
     """Bit vectors of a skeleton-shaped wavelet tree over a symbol sequence."""
 
-    def __init__(self, bitvecs, sizes, skel, root):
+    def __init__(self, bitvecs, skel, root):
         self.bitvecs = bitvecs  # node -> bool array of routing bits
-        self.sizes = sizes  # node -> routed subsequence length
         self.skel = skel
         self.root = root
 
@@ -188,12 +182,10 @@ def build_wavelet(seq, skel):
         for d, b in enumerate(skel.path_bits[s]):
             bit_mat[s, d] = b
     bitvecs = {}
-    sizes = {}
     order = np.arange(m)
     stack = [(skel.root, 0, m)]
     while stack:
         v, lo, hi = stack.pop()
-        sizes[v] = hi - lo
         if skel.leaf_symbol[v] >= 0 or hi <= lo:
             if skel.leaf_symbol[v] < 0 and hi <= lo:
                 bitvecs[v] = np.zeros(0, dtype=bool)
@@ -208,7 +200,7 @@ def build_wavelet(seq, skel):
         order[lo + nl : hi] = seg[b]
         stack.append((skel.left[v], lo, lo + nl))
         stack.append((skel.right[v], lo + nl, hi))
-    return WaveletTree(bitvecs, sizes, skel, skel.root)
+    return WaveletTree(bitvecs, skel, skel.root)
 
 
 class LcpsList:

@@ -42,6 +42,21 @@ def test_round_trip_random():
         assert packed.to_bytes() == raw
 
 
+def test_encode_matches_forward_map_all_bytes():
+    raw = bytes(range(256)) + bytes(range(255, -1, -1))
+    alpha = make_alphabet(raw)
+    codes = alpha.encode(raw)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [alpha.forward_map[b] for b in raw]
+    assert alpha.encode(b"").size == 0
+
+
+def test_encode_rejects_byte_outside_alphabet():
+    alpha = make_alphabet(b"acgt")
+    with pytest.raises(PackedLcsError, match="byte 110 not in alphabet"):
+        alpha.encode(b"acgtnacgx")
+
+
 def test_bits_override_too_small():
     with pytest.raises(PackedLcsError):
         remap_and_pack("ACGTN", bits_override=2)
