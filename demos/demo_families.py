@@ -22,7 +22,7 @@ wav = solve_alpha_beta(inst, alpha=2, beta=2)
 print(f"general solver: {gen.value}, wavelet solver: {wav.value}, brute: {brute}")
 print(f"witness pair: P[{gen.witness[0]}] = {P[gen.witness[0]]}, "
       f"Q[{gen.witness[1]}] = {Q[gen.witness[1]]}")
-print(f"merge counter: {gen.merged_elements} elements moved (small-into-large)")
+print(f"probe counter: {gen.merged_elements} probes (the moves of a small-into-large merge)")
 
 # Prefix families (all first components prefixes of one string) get the
 # linear-style solver.

@@ -8,11 +8,15 @@ components are leaves of those tries, compute
 
 Two solvers are provided:
 
-* ``max_pair_lcp_general``: bottom-up traversal of the first trie keeping,
-  per node, ordered per-origin element sets keyed by second-component leaf
-  rank, merged smaller-into-larger.  Each insertion probes its other-origin
-  rank neighbours; a candidate is the node's string depth plus the LCP of the
-  probed second components.  O(N log^2 N) with an instrumented merge counter.
+* ``max_pair_lcp_general``: small-to-large over the first trie, in batch.
+  With the elements ordered by first-component leaf rank, every trie node
+  owns a contiguous range of them; its probes are the range's elements
+  outside its heaviest child (the elements a smaller-into-larger merge would
+  move there).  Each probe takes its nearest other-origin second-component
+  rank neighbours within the node's whole range from a merge-sort tree over
+  that order (one level at a time, one ``searchsorted`` per level); a
+  candidate is the node's string depth plus the LCP of the two second
+  components.  O(N log^2 N); the probe count is ``merged_elements``.
 
 * ``max_pair_lcp_prefix``: linear-style solver valid when all first
   components are prefixes of one common string.  P cup Q is ordered by second
@@ -21,14 +25,18 @@ Two solvers are provided:
   so each element sees its nearest other-origin neighbours with first
   component at least as long.
 
-Second-component LCPs are evaluated through rank-interval minima over the
-adjacent-leaf LCP array of the trie (equivalent to LCA string depths).
+Component LCPs are rank-interval minima over the adjacent-leaf LCP array of a
+trie (equivalent to LCA string depths), read from a numpy sparse table one
+query or one array of queries at a time.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .text_core import PackedLcsError
 from .suffix_index import build_compacted_trie
@@ -41,156 +49,264 @@ class PairLcpResult:
     merged_elements: int = 0
 
 
-def _build_sparse(values):
-    tables = [list(values)]
-    j = 1
-    n = len(values)
-    while (1 << j) <= n:
-        prev = tables[-1]
-        half = 1 << (j - 1)
-        tables.append(
-            [min(prev[i], prev[i + half]) for i in range(n - (1 << j) + 1)]
-        )
-        j += 1
-    return tables
+def _int_dtype(bound):
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _node_ranks(trie):
+    """Leaf rank of every trie node, -1 for nodes without one."""
+    rank_of = np.full(trie.node_count(), -1, dtype=np.int64)
+    rank_of[np.asarray(trie.leaf_at_rank, dtype=np.int64)] = np.arange(
+        len(trie.leaf_at_rank)
+    )
+    return rank_of
 
 
 class _RankLcp:
-    """LCP between leaves given their ranks, via adjacent-leaf minima."""
+    """LCP between ranked trie nodes given their ranks: a sparse table of
+    minima over the adjacent-rank LCPs, table[j, r] = min(adj[r : r + 2^j])."""
 
     def __init__(self, trie):
-        self.depth = [trie.depth[leaf] for leaf in trie.leaf_at_rank]
-        self.tables = _build_sparse(trie.adjacent_leaf_lcp)
+        at_rank = np.asarray(trie.leaf_at_rank, dtype=np.int64)
+        depth = np.asarray(trie.depth, dtype=np.int64)
+        dtype = _int_dtype(int(depth.max()))
+        self.depth = depth[at_rank].astype(dtype)
+        adj = np.asarray(trie.adjacent_leaf_lcp, dtype=dtype)
+        n = adj.size
+        # One spare column keeps every gather in bounds (equal ranks read it).
+        table = np.zeros((max(1, n.bit_length()), n + 1), dtype=dtype)
+        table[0, :n] = adj
+        for j in range(1, table.shape[0]):
+            w, half = n - (1 << j) + 1, 1 << (j - 1)
+            np.minimum(table[j - 1, :w], table[j - 1, half : half + w], out=table[j, :w])
+        self.table = table
 
     def lcp(self, ra, rb):
         if ra == rb:
-            return self.depth[ra]
+            return int(self.depth[ra])
         if ra > rb:
             ra, rb = rb, ra
         j = (rb - ra).bit_length() - 1
-        t = self.tables[j]
-        a = t[ra]
-        b = t[rb - (1 << j)]
-        return a if a < b else b
+        return int(min(self.table[j, ra], self.table[j, rb - (1 << j)]))
+
+    def lcp_many(self, ra, rb):
+        """Element-wise lcp over two rank arrays, in the table's dtype."""
+        ra, rb = np.asarray(ra, dtype=np.int64), np.asarray(rb, dtype=np.int64)
+        lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+        j = np.frexp(np.maximum(hi - lo, 1))[1] - 1  # floor(log2(hi - lo))
+        out = np.minimum(self.table[j, lo], self.table[j, hi - (1 << j)])
+        return np.where(lo == hi, self.depth[lo], out)
 
 
 class TwoFamiliesInstance:
-    """Tries of F1 and F2 plus P and Q as (leaf1, leaf2) pairs."""
+    """Tries of F1 and F2 plus P and Q as (leaf1, leaf2) pairs.
+
+    p_elems and q_elems are int arrays of shape (|P|, 2) and (|Q|, 2); r1 and
+    r2 hold the leaf ranks of the first and second components of P's elements
+    followed by Q's.
+    """
 
     def __init__(self, trie1, trie2, p_elems, q_elems):
         self.trie1 = trie1
         self.trie2 = trie2
-        self.p_elems = list(p_elems)
-        self.q_elems = list(q_elems)
-        for leaf1, leaf2 in self.p_elems + self.q_elems:
-            if not 0 <= leaf1 < trie1.node_count() or not 0 <= leaf2 < trie2.node_count():
-                raise PackedLcsError("pair component is not a trie node")
-        self.n_bound = max(
-            len(self.p_elems), len(self.q_elems),
-            len(trie1.leaf_at_rank), len(trie2.leaf_at_rank),
-        )
-        self.lcp1 = _RankLcp(trie1)
-        self.lcp2 = _RankLcp(trie2)
+        self.p_elems = np.asarray(p_elems, dtype=np.int64).reshape(-1, 2)
+        self.q_elems = np.asarray(q_elems, dtype=np.int64).reshape(-1, 2)
+        leaves = np.concatenate([self.p_elems, self.q_elems])
+        self.r1 = self._ranks(trie1, leaves[:, 0])
+        self.r2 = self._ranks(trie2, leaves[:, 1])
 
-    def elements(self):
-        """Uniform element records: (uid, origin, index, leaf1, leaf2)."""
-        out = []
-        for i, (l1, l2) in enumerate(self.p_elems):
-            out.append((len(out), 0, i, l1, l2))
-        for i, (l1, l2) in enumerate(self.q_elems):
-            out.append((len(out), 1, i, l1, l2))
-        return out
+    @staticmethod
+    def _ranks(trie, nodes):
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= trie.node_count()):
+            raise PackedLcsError("pair component is not a trie node")
+        ranks = _node_ranks(trie)[nodes]
+        if (ranks < 0).any():
+            raise PackedLcsError("pair component is not a ranked trie node")
+        return ranks
+
+    def first_lcp(self, pi, qi):
+        """LCP of the first components of P[pi] and Q[qi]."""
+        return self.lcp1.lcp(int(self.r1[pi]), int(self.r1[len(self.p_elems) + qi]))
+
+    @cached_property
+    def lcp2(self):
+        return _RankLcp(self.trie2)
+
+    @cached_property
+    def lcp1(self):
+        return self.lcp2 if self.trie1 is self.trie2 else _RankLcp(self.trie1)
 
 
-def _ordered_witness(origin_a, idx_a, origin_b, idx_b):
-    if origin_a == origin_b:
-        return None
-    return (idx_a, idx_b) if origin_a == 0 else (idx_b, idx_a)
+def _best_pair(values, a, b, n_p):
+    """(largest value, witness) over candidate pairs of element ids a, b of
+    different origins; ties go to the smallest (P index, Q index)."""
+    if values.size == 0:
+        return 0, None
+    p, q = np.minimum(a, b), np.maximum(a, b) - n_p
+    top = values.max()
+    at = np.flatnonzero(values == top)
+    k = at[np.lexsort((q[at], p[at]))[0]]
+    return int(top), (int(p[k]), int(q[k]))
 
 
-class _Best:
-    __slots__ = ("value", "witness")
+def _subtree_rank_spans(parent, rank_of):
+    """(lowest, highest) leaf rank below every node of a compacted trie,
+    given its parent array, by pointer jumping down the leftmost and the
+    rightmost paths.  Ranks follow a preorder and a ranked node sorts before
+    its children; build_compacted_trie lists every node's children in
+    increasing id order, so the first child has the smallest id."""
+    n = parent.size
+    ids = np.arange(n)
+    first_kid = np.full(n, n, dtype=np.int64)
+    last_kid = np.full(n, -1, dtype=np.int64)
+    np.minimum.at(first_kid, parent[1:], ids[1:])
+    np.maximum.at(last_kid, parent[1:], ids[1:])
+    leaf = last_kid < 0
+    spans = []
+    for down in (
+        np.where((rank_of >= 0) | leaf, ids, first_kid),
+        np.where(leaf, ids, last_kid),
+    ):
+        while True:
+            nxt = down[down]
+            if np.array_equal(nxt, down):
+                break
+            down = nxt
+        spans.append(rank_of[down])
+    return spans
 
-    def __init__(self):
-        self.value = 0
-        self.witness = None
 
-    def offer(self, value, witness):
-        if witness is None:
-            return
-        if value > self.value or (
-            value == self.value
-            and (self.witness is None or witness < self.witness)
-        ):
-            self.value = value
-            self.witness = witness
+def _probes(inst, dt):
+    """Small-to-large probes over the first trie.
+
+    With the elements in first-rank order, a node owns the range [lo, hi) of
+    that order; its probes are the positions outside its heaviest child's
+    range (the leftmost heaviest on ties), which covers the elements attached
+    at the node itself.  Returns (order, probe positions in order, node of
+    each probe, lo, hi).
+    """
+    trie1 = inst.trie1
+    n_nodes = trie1.node_count()
+    parent = np.fromiter(trie1.parent, dtype=np.int64, count=n_nodes)
+    order = np.argsort(inst.r1, kind="stable")
+    r1_sorted = inst.r1[order]
+    lo_rank, hi_rank = _subtree_rank_spans(parent, _node_ranks(trie1))
+    lo = np.searchsorted(r1_sorted, lo_rank, "left").astype(dt)
+    hi = np.searchsorted(r1_sorted, hi_rank, "right").astype(dt)
+    del lo_rank, hi_rank, r1_sorted
+    # Heaviest child per node: its element count and the start of its range.
+    # A node with no elements below any child keeps the empty range [hi, hi).
+    count = hi - lo
+    parent = parent[1:]
+    heavy = np.zeros_like(count)
+    np.maximum.at(heavy, parent, count[1:])
+    top = np.flatnonzero((count[1:] == heavy[parent]) & (count[1:] > 0))
+    heavy_lo = hi.copy()
+    np.minimum.at(heavy_lo, parent[top], lo[top + 1])
+    del parent, top, count
+    # Segments [lo, heavy_lo) and [heavy_lo + heavy, hi), expanded.
+    seg_start = np.concatenate([lo, heavy_lo + heavy])
+    seg_len = np.concatenate([heavy_lo - lo, hi - heavy_lo - heavy])
+    del heavy, heavy_lo
+    live = np.flatnonzero(seg_len)
+    seg_start, seg_len = seg_start[live], seg_len[live]
+    node = np.repeat((live % n_nodes).astype(dt), seg_len)
+    shift = seg_start - (np.cumsum(seg_len, dtype=np.int64) - seg_len)
+    pos = np.arange(node.size, dtype=dt) + np.repeat(shift.astype(dt), seg_len)
+    return order, pos, node, lo, hi
 
 
 def max_pair_lcp_general(inst):
-    """Exact maxPairLCP by mergeable ordered sets over the first trie."""
-    if not inst.p_elems or not inst.q_elems:
+    """Exact maxPairLCP by batched small-to-large probes over the first trie."""
+    n_p, n_q = len(inst.p_elems), len(inst.q_elems)
+    if not n_p or not n_q:
         return PairLcpResult(0, None, 0)
-    trie1 = inst.trie1
-    lcp2 = inst.lcp2
+    n_all = n_p + n_q
+    dt = _int_dtype(4 * n_all + 4)
+    order, pos, node, lo, hi = _probes(inst, dt)
+    merged = pos.size
 
-    m_total = len(inst.p_elems) + len(inst.q_elems)
-    by_leaf = {}
-    # Encoded element key: rank2 * m_total + uid (unique, rank-ordered).
-    meta = []  # uid -> (origin, index, rank2)
-    for uid, origin, idx, _l1, l2 in inst.elements():
-        r2 = inst.trie2.leaf_rank[l2]
-        meta.append((origin, idx, r2))
-        leaf1 = (inst.p_elems if origin == 0 else inst.q_elems)[idx][0]
-        by_leaf.setdefault(leaf1, []).append(uid)
+    # Merge-sort tree: Q's elements in rank-1 order at positions [0, n_q), P's
+    # at [off, off + n_p), off a power of two > n_q, so no block of any level
+    # straddles the two.  A probe of P queries Q's positions and vice versa:
+    # ends[:, i] is that query range for probe i.
+    levels = max(n_p, n_q).bit_length()
+    off = 1 << levels
+    in_p = order < n_p
+    seen_p = np.zeros(n_all + 1, dtype=dt)
+    np.cumsum(in_p, out=seen_p[1:])
+    seen_q = np.arange(n_all + 1, dtype=dt) - seen_p
+    tree_pos = np.where(in_p, seen_p[:-1] + off, seen_q[:-1]).astype(np.int64)
+    probe = order[pos].astype(dt)
+    from_p = probe < n_p
+    ends = np.empty((2, merged), dtype=dt)
+    for row, bound in enumerate((lo, hi)):
+        at = bound[node]
+        ends[row] = np.where(from_p, seen_q[at], seen_p[at] + off)
+    depth = np.asarray(inst.trie1.depth)[node]
+    # Arrays go as soon as they are used: probes number O(N log N).
+    del pos, node, lo, hi, from_p, at, seen_p, seen_q, in_p
+    # Longest query ranges first: a range covers a whole level-L block only if
+    # it holds at least 2^L positions, so each level works on a prefix.
+    neg_span = ends[0] - ends[1]
+    by_span = np.argsort(neg_span)
+    neg_span, ends, probe, depth = (
+        neg_span[by_span], ends[:, by_span], probe[by_span], depth[by_span]
+    )
+    del by_span
 
-    best = _Best()
-    merged = 0
+    r2 = inst.r2
+    r2_probe = r2[probe]
+    width = int(r2.max()) + 1
+    none = width * n_all
+    # Best r2 * n_all + element id strictly below / at or above the probe's r2.
+    pred = np.full(merged, -1, dtype=np.int64)
+    succ = np.full(merged, none, dtype=np.int64)
+    tree = np.argsort(tree_pos)
+    r2_tree = r2[order]
+    code_tree = r2_tree * n_all + order
+    for level in range(levels + 1):
+        act = int(np.searchsorted(neg_span, -(1 << level), "right"))
+        if not act:
+            break
+        # Blocks of 2^level positions, each sorted by r2: the previous
+        # level's order is a run of sorted pairs of blocks, merged stably.
+        keys = (tree_pos[tree] >> level) * width + r2_tree[tree]
+        step = np.argsort(keys, kind="stable")
+        tree, keys = tree[step], keys[step]
+        codes = code_tree[tree]
+        a, b = -(-ends[0, :act] >> level), ends[1, :act] >> level
+        inside = a < b
+        for sel, block in (
+            (np.flatnonzero(inside & (a & 1 == 1)), a),
+            (np.flatnonzero(inside & (b & 1 == 1)), b - 1),
+        ):
+            base = block[sel].astype(np.int64) * width
+            target = base + r2_probe[sel]
+            # Sorted queries search several times faster than scattered ones.
+            by_target = np.argsort(target)
+            q = np.empty_like(by_target)
+            q[by_target] = np.searchsorted(keys, target[by_target])
+            at = np.minimum(q, keys.size - 1)
+            ok = (q < keys.size) & (keys[at] < base + width)
+            succ[sel] = np.minimum(succ[sel], np.where(ok, codes[at], none))
+            at = np.maximum(q - 1, 0)
+            ok = (q > 0) & (keys[at] >= base)
+            pred[sel] = np.maximum(pred[sel], np.where(ok, codes[at], -1))
+    del ends, neg_span, tree_pos, tree, keys, codes, step
 
-    def probe(lists, origin, idx, r2, code, depth):
-        other = lists[1 - origin]
-        pos = bisect.bisect_left(other, code)
-        for z in (other[pos - 1] if pos else None,
-                  other[pos] if pos < len(other) else None):
-            if z is None:
-                continue
-            zu = z % m_total
-            zo, zi, zr2 = meta[zu]
-            best.offer(depth + lcp2.lcp(r2, zr2),
-                       _ordered_witness(origin, idx, zo, zi))
-
-    def insert_all(lists, uids, depth):
-        nonlocal merged
-        for uid in uids:
-            origin, idx, r2 = meta[uid]
-            code = r2 * m_total + uid
-            probe(lists, origin, idx, r2, code, depth)
-            bisect.insort(lists[origin], code)
-            merged += 1
-
-    # Iterative post-order over trie1.
-    states = {}
-    stack = [(0, False)]
-    while stack:
-        node, done = stack.pop()
-        if not done:
-            stack.append((node, True))
-            for ch in trie1.children[node]:
-                stack.append((ch, False))
+    best_value, best_witness = -1, None
+    for code in (pred, succ):
+        hit = np.flatnonzero((code >= 0) & (code < none))
+        if not hit.size:
             continue
-        depth = trie1.depth[node]
-        kids = [states.pop(ch) for ch in trie1.children[node]]
-        if kids:
-            base = max(range(len(kids)), key=lambda i: len(kids[i][0]) + len(kids[i][1]))
-            lists = kids[base]
-            for i, other in enumerate(kids):
-                if i == base:
-                    continue
-                insert_all(lists, [c % m_total for c in other[0] + other[1]], depth)
-        else:
-            lists = ([], [])
-        insert_all(lists, by_leaf.get(node, ()), depth)
-        states[node] = lists
-    return PairLcpResult(best.value, best.witness, merged)
+        values = depth[hit] + inst.lcp2.lcp_many(r2_probe[hit], code[hit] // n_all)
+        top = values == values.max()
+        hit = hit[top]
+        value, witness = _best_pair(values[top], probe[hit], code[hit] % n_all, n_p)
+        if value > best_value or (value == best_value and witness < best_witness):
+            best_value, best_witness = value, witness
+    return PairLcpResult(best_value, best_witness, merged)
 
 
 class _SkipList:
@@ -240,64 +356,61 @@ class _SkipList:
 
 def max_pair_lcp_prefix(inst, spot_check=True):
     """maxPairLCP for instances whose first components form a prefix family."""
-    if not inst.p_elems or not inst.q_elems:
+    n_p, n_q = len(inst.p_elems), len(inst.q_elems)
+    if not n_p or not n_q:
         return PairLcpResult(0, None, 0)
-    trie1, trie2 = inst.trie1, inst.trie2
-    elems = inst.elements()
-    recs = []
-    for uid, origin, idx, l1, l2 in elems:
-        recs.append(
-            (uid, origin, idx, trie1.leaf_rank[l1], trie1.depth[l1], trie2.leaf_rank[l2])
-        )
+    r1, r2 = inst.r1, inst.r2
+    len1 = inst.lcp1.depth[r1]
     if spot_check:
-        _assert_prefix_family(inst, recs)
-    # R: union ordered by second component (rank2), ties by uid.
-    order = sorted(range(len(recs)), key=lambda u: (recs[u][5], u))
-    pos_of = {u: p for p, u in enumerate(order)}
+        _assert_prefix_family(inst, len1)
+    # R: union ordered by second component (rank2), ties by element id.
+    order = np.argsort(r2, kind="stable")
+    in_p = order < n_p
     skip = (
-        _SkipList([p for p in range(len(order)) if recs[order[p]][1] == 0]),
-        _SkipList([p for p in range(len(order)) if recs[order[p]][1] == 1]),
+        _SkipList(np.flatnonzero(in_p).tolist()),
+        _SkipList(np.flatnonzero(~in_p).tolist()),
     )
+    pos_of = np.empty_like(order)
+    pos_of[order] = np.arange(order.size)
+    pos_of, order_list = pos_of.tolist(), order.tolist()
 
-    best = _Best()
-    lcp1, lcp2 = inst.lcp1, inst.lcp2
-
-    by_len = {}
-    for uid, origin, idx, r1, len1, r2 in recs:
-        by_len.setdefault(len1, []).append(uid)
-
-    for length in sorted(by_len):
-        group = by_len[length]
+    ours, theirs = [], []
+    by_len = np.argsort(len1, kind="stable")
+    for group in np.split(by_len, np.flatnonzero(np.diff(len1[by_len])) + 1):
+        group = group.tolist()
         for uid in group:
-            _, origin, idx, r1, len1, r2 = recs[uid]
-            other = skip[1 - origin]
+            other = skip[0 if uid >= n_p else 1]
             p = pos_of[uid]
             for zpos in (other.pred(p), other.succ(p)):
-                if zpos is None:
-                    continue
-                zu = order[zpos]
-                _, zo, zi, zr1, zlen1, zr2 = recs[zu]
-                val = lcp1.lcp(r1, zr1) + lcp2.lcp(r2, zr2)
-                best.offer(val, _ordered_witness(origin, idx, zo, zi))
+                if zpos is not None:
+                    ours.append(uid)
+                    theirs.append(order_list[zpos])
         for uid in group:
-            _, origin, _, _, _, _ = recs[uid]
-            skip[origin].delete(pos_of[uid])
-    return PairLcpResult(best.value, best.witness, 0)
+            skip[0 if uid < n_p else 1].delete(pos_of[uid])
+    ours, theirs = np.array(ours, dtype=np.int64), np.array(theirs, dtype=np.int64)
+    values = inst.lcp1.lcp_many(r1[ours], r1[theirs]) + inst.lcp2.lcp_many(
+        r2[ours], r2[theirs]
+    )
+    value, witness = _best_pair(values, ours, theirs, n_p)
+    return PairLcpResult(value, witness, 0)
 
 
-def _assert_prefix_family(inst, recs):
+def _assert_prefix_family(inst, len1):
     import random
 
     rng = random.Random(0x5EED)
-    m = len(recs)
-    for _ in range(min(32, m * m)):
-        a, b = recs[rng.randrange(m)], recs[rng.randrange(m)]
-        got = inst.lcp1.lcp(a[3], b[3])
-        if got != min(a[4], b[4]):
-            raise PackedLcsError(
-                "first components do not form a prefix family "
-                f"(LCP {got} != min length {min(a[4], b[4])})"
-            )
+    m = len(len1)
+    picks = [(rng.randrange(m), rng.randrange(m)) for _ in range(min(32, m * m))]
+    a, b = np.array(picks, dtype=np.int64).T
+    got = inst.lcp1.lcp_many(inst.r1[a], inst.r1[b])
+    want = np.minimum(len1[a], len1[b])
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        k = bad[0]
+        raise PackedLcsError(
+            "first components do not form a prefix family "
+            f"(LCP {got[k]} != min length {want[k]})"
+        )
 
 
 # -- plain-string construction (tests, oracles, small instances) -----------

@@ -225,24 +225,6 @@ class _Ctx:
             self._st_index = SuffixIndex(self.st_codes())
         return self._st_index
 
-    # fragment helpers in combined coordinates (0-based starts)
-    def s_suffix(self, i):
-        comb = self.combined()
-        return comb.offsets["S"] - 1 + (i - 1), self.ns - i + 1
-
-    def t_suffix(self, j):
-        comb = self.combined()
-        return comb.offsets["T"] - 1 + (j - 1), self.nt - j + 1
-
-    def s_rev_prefix(self, i):
-        """(S[1..i))^R as a combined fragment: start0, length = i - 1."""
-        comb = self.combined()
-        return comb.offsets["S_rev"] - 1 + (self.ns - i + 1), i - 1
-
-    def t_rev_prefix(self, j):
-        comb = self.combined()
-        return comb.offsets["T_rev"] - 1 + (self.nt - j + 1), j - 1
-
 
 def _as_bytes(raw):
     if isinstance(raw, str):
@@ -421,19 +403,24 @@ def _component_trie(codes, starts0, lens, idx=None, suffix_like=False):
     order, lcps = fragment_order_and_lcps(codes, starts0, lens, idx, suffix_like)
     lens = np.asarray(lens, dtype=np.int64)
     trie = _trie_from_sorted(lens[order], lcps, order)
-    leaf_by_comp = [None] * len(order)
-    for r, comp in enumerate(order):
-        leaf_by_comp[int(comp)] = trie.leaf_of_input[r]
+    leaf_by_comp = np.empty(len(order), dtype=np.int64)
+    leaf_by_comp[order] = trie.leaf_of_input
     return trie, leaf_by_comp
 
 
 # -- short regime ------------------------------------------------------------
 
 
+# Largest packed-key table the short regime builds, in uint64 words (2 GiB).
+_SHORT_KEY_WORDS = 1 << 28
+
+
 def lcs_short(s, t, m):
     """LCS via window tabulation; exact whenever the true LCS is <= m, and
     above m whenever the true LCS is.  Keys take ceil(min(2m, n) / (64 //
-    bits)) uint64 words per position of S and T."""
+    bits)) uint64 words per position of S and T; a call whose keys would
+    exceed 2^28 words (2 GiB) raises PackedLcsError before allocating them.
+    The dispatcher's m (at most about 10) stays far below that."""
     if m < 1:
         raise PackedLcsError("window size m must be >= 1")
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
@@ -443,6 +430,14 @@ def lcs_short(s, t, m):
 def _lcs_short(ctx, m):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
+    width = min(2 * m, max(ctx.ns, ctx.nt))
+    bits = (int(max(ctx.s_codes.max(), ctx.t_codes.max())) + 1).bit_length()
+    words = (ctx.ns + ctx.nt) * -(-width // (64 // bits))
+    if words > _SHORT_KEY_WORDS:
+        raise PackedLcsError(
+            f"short regime with m={m} needs {words} key words, "
+            f"above the budget of {_SHORT_KEY_WORDS}"
+        )
     # Windows start at multiples of m and span 2m symbols.  The one starting
     # at m * floor(p / m) holds the longest window suffix from p; the suffix
     # from p in the window before it is a prefix of that one.
@@ -482,40 +477,27 @@ def _lcs_long(ctx, d):
     if len(anchors_s) == 0 or len(anchors_t) == 0:
         return LcsResult(0, 1, 1, "long")
     # Components: reversed prefixes and suffixes for both strings, merged into
-    # one family F with a single trie (F1 = F2 = F).
-    starts, lens, tag = [], [], []
-    for a in anchors_s:
-        p0, ln = ctx.s_rev_prefix(int(a))
-        starts.append(p0); lens.append(ln); tag.append(("S", int(a), "rev"))
-        p0, ln = ctx.s_suffix(int(a))
-        starts.append(p0); lens.append(ln); tag.append(("S", int(a), "fwd"))
-    for b in anchors_t:
-        p0, ln = ctx.t_rev_prefix(int(b))
-        starts.append(p0); lens.append(ln); tag.append(("T", int(b), "rev"))
-        p0, ln = ctx.t_suffix(int(b))
-        starts.append(p0); lens.append(ln); tag.append(("T", int(b), "fwd"))
+    # one family F with a single trie (F1 = F2 = F).  Blocks: reversed
+    # prefixes of S, suffixes of S, then the same for T.
+    off = ctx.combined().offsets
+    starts = np.concatenate([
+        off["S_rev"] - 1 + ctx.ns - anchors_s + 1, off["S"] - 2 + anchors_s,
+        off["T_rev"] - 1 + ctx.nt - anchors_t + 1, off["T"] - 2 + anchors_t,
+    ])
+    lens = np.concatenate([
+        anchors_s - 1, ctx.ns - anchors_s + 1, anchors_t - 1, ctx.nt - anchors_t + 1,
+    ])
     codes = ctx.combined().codes()
     trie, leaf = _component_trie(codes, starts, lens, idx, suffix_like=True)
-    p_elems, q_elems, p_anchor, q_anchor = [], [], [], []
-    for k in range(0, len(tag), 2):
-        which, a, _ = tag[k]
-        pair = (leaf[k], leaf[k + 1])
-        if which == "S":
-            p_elems.append(pair)
-            p_anchor.append(a)
-        else:
-            q_elems.append(pair)
-            q_anchor.append(a)
-    inst = TwoFamiliesInstance(trie, trie, p_elems, q_elems)
+    n_s = len(anchors_s)
+    leaf_s, leaf_t = leaf[: 2 * n_s].reshape(2, -1), leaf[2 * n_s :].reshape(2, -1)
+    inst = TwoFamiliesInstance(trie, trie, leaf_s.T, leaf_t.T)
     res = max_pair_lcp_general(inst)
     if res.witness is None or res.value == 0:
         return LcsResult(0, 1, 1, "long")
     pi, qi = res.witness
-    a, b = p_anchor[pi], q_anchor[qi]
-    left = inst.lcp1.lcp(
-        trie.leaf_rank[p_elems[pi][0]], trie.leaf_rank[q_elems[qi][0]]
-    )
-    return LcsResult(res.value, a - left, b - left, "long")
+    left = inst.first_lcp(pi, qi)
+    return LcsResult(res.value, int(anchors_s[pi]) - left, int(anchors_t[qi]) - left, "long")
 
 
 # -- medium regime -----------------------------------------------------------
@@ -704,9 +686,7 @@ def _medium_case_one(ctx, anchors, tau, cap):
         return None
     pi, qi = res.witness
     ea, eb = elems[p_ids[pi]], elems[q_ids[qi]]
-    left = inst.lcp1.lcp(
-        trie1.leaf_rank[p_elems[pi][0]], trie1.leaf_rank[q_elems[qi][0]]
-    )
+    left = inst.first_lcp(pi, qi)
     return LcsResult(res.value, ea[1] - left, eb[1] - left, "medium")
 
 

@@ -1,8 +1,8 @@
 """Suffix-array backed LCE queries, fragment comparison, and compacted tries.
 
 The suffix array is built by numpy prefix doubling (lexsort per round, early
-exit once ranks are distinct), the LCP array by Kasai's algorithm, and range
-minima by a sparse table (default) or a block-decomposed structure.  Compacted
+exit once ranks are distinct), the LCP array is read from that doubling's
+rank tables level by level, and range minima come from a sparse table.  Compacted
 tries are built in one left-to-right pass from a sorted list with adjacent
 LCPs and answer LCA queries through an Euler tour.
 """
@@ -14,61 +14,82 @@ import numpy as np
 from .text_core import PackedLcsError
 
 
-def suffix_array(codes):
-    """Suffix array (0-based) of an int code sequence via prefix doubling."""
+def _prefix_doubling(codes, keep_ranks=False):
+    """(suffix array, rank tables) of an int code sequence by prefix doubling.
+
+    ranks[level][i] is the dense rank of the length-2^level prefix of suffix i
+    (a prefix running past the end is padded below every letter).  Doubling
+    stops at the first level whose ranks are all distinct, so two distinct
+    suffixes share fewer than 2^(len(ranks) - 1) symbols.  Without keep_ranks
+    only that last level is returned.
+    """
     codes = np.asarray(codes, dtype=np.int64)
     n = codes.size
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), [np.empty(0, dtype=np.int64)]
+    dtype = np.int32 if n < 2**31 else np.int64
     _, rank = np.unique(codes, return_inverse=True)
-    rank = rank.astype(np.int64)
+    rank = rank.astype(dtype)
+    ranks = [rank]
+    order = np.argsort(rank, kind="stable")
     k = 1
-    while True:
-        rank2 = np.full(n, -1, dtype=np.int64)
+    while int(rank[order[-1]]) < n - 1:
+        rank2 = np.full(n, -1, dtype=dtype)
         if k < n:
             rank2[:-k] = rank[k:]
         order = np.lexsort((rank2, rank))
-        if int(rank[order[-1]]) == n - 1:
-            return order
         changed = (np.diff(rank[order]) != 0) | (np.diff(rank2[order]) != 0)
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order[0]] = 0
-        new_rank[order[1:]] = np.cumsum(changed)
-        rank = new_rank
-        if int(rank[order[-1]]) == n - 1:
-            return order
+        rank = np.empty(n, dtype=dtype)
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(changed)
+        if keep_ranks:
+            ranks.append(rank)
+        else:
+            ranks[0] = rank
         k *= 2
+    return order, ranks
 
 
-def kasai_lcp(codes, sa):
-    """lcp[r] = LCP(suffix sa[r-1], suffix sa[r]); lcp[0] = 0."""
+def suffix_array(codes):
+    """Suffix array (0-based) of an int code sequence via prefix doubling."""
+    return _prefix_doubling(codes)[0]
+
+
+def _lcp_from_ranks(sa, ranks):
+    """lcp[r] = LCP(suffix sa[r-1], suffix sa[r]), lcp[0] = 0, read from the
+    prefix-doubling rank tables by descending the levels."""
     n = len(sa)
-    lcp = np.zeros(n, dtype=np.int64)
-    if n == 0:
+    lcp = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
+    if n < 2:
         return lcp
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    codes = np.asarray(codes)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = int(sa[r - 1])
-        while i + h < n and j + h < n and codes[i + h] == codes[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
+    i, j = sa[:-1].copy(), sa[1:].copy()
+    h = lcp[1:]
+    # The last level's ranks are all distinct: no pair matches there.
+    for level in range(len(ranks) - 2, -1, -1):
+        step = 1 << level
+        tab = ranks[level]
+        # Equal ranks of distinct suffixes imply 2^level symbols on both.
+        live = np.flatnonzero((i < n) & (j < n))
+        hit = live[tab[i[live]] == tab[j[live]]]
+        h[hit] += step
+        i[hit] += step
+        j[hit] += step
     return lcp
 
 
+def kasai_lcp(codes, sa):
+    """lcp[r] = LCP(suffix sa[r-1], suffix sa[r]); lcp[0] = 0.
+
+    Read from prefix-doubling rank tables (no per-position scan)."""
+    return _lcp_from_ranks(sa, _prefix_doubling(codes, keep_ranks=True)[1])
+
+
 class SparseRmq:
-    """O(n log n) sparse table; query(l, r) = min over [l, r)."""
+    """O(n log n) sparse table in the values' integer dtype; query(l, r) =
+    min over [l, r)."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
         n = len(values)
         self.table = [values]
         j = 1
@@ -86,34 +107,6 @@ class SparseRmq:
         return int(min(t[l], t[r - (1 << j)]))
 
 
-class BlockRmq:
-    """O(n) words: one minimum per block, sparse table over block minima."""
-
-    def __init__(self, values, block=64):
-        self.values = np.asarray(values, dtype=np.int64)
-        self.block = block
-        n = len(self.values)
-        nb = (n + block - 1) // block
-        mins = np.full(nb, np.iinfo(np.int64).max, dtype=np.int64)
-        for b in range(nb):
-            seg = self.values[b * block : (b + 1) * block]
-            if seg.size:
-                mins[b] = seg.min()
-        self.block_table = SparseRmq(mins)
-
-    def query(self, l, r):
-        if l >= r:
-            return np.iinfo(np.int64).max
-        bl, br = l // self.block, (r - 1) // self.block
-        if bl == br:
-            return int(self.values[l:r].min())
-        best = np.iinfo(np.int64).max
-        best = min(best, int(self.values[l : (bl + 1) * self.block].min()))
-        best = min(best, int(self.values[br * self.block : r].min()))
-        best = min(best, self.block_table.query(bl + 1, br))
-        return best
-
-
 class SuffixIndex:
     """Suffix array + inverse + LCP + RMQ over a code sequence.
 
@@ -121,21 +114,16 @@ class SuffixIndex:
     fragment-level LCP/ordering for fragments of a combined text.
     """
 
-    def __init__(self, codes, rmq_mode="sparse", keep_rank_tables=False):
+    def __init__(self, codes, keep_rank_tables=False):
         self.codes = np.asarray(codes, dtype=np.int64)
         self.n = int(self.codes.size)
-        self.sa = suffix_array(self.codes)
+        self.sa, ranks = _prefix_doubling(self.codes, keep_ranks=True)
         self.isa = np.empty(self.n, dtype=np.int64)
         if self.n:
             self.isa[self.sa] = np.arange(self.n)
-        self.lcp = kasai_lcp(self.codes, self.sa)
-        if rmq_mode == "sparse":
-            self.rmq = SparseRmq(self.lcp)
-        elif rmq_mode == "block":
-            self.rmq = BlockRmq(self.lcp)
-        else:
-            raise PackedLcsError(f"unknown rmq mode {rmq_mode!r}")
-        self._rank_tables = self._build_rank_tables() if keep_rank_tables else None
+        self.lcp = _lcp_from_ranks(self.sa, ranks)
+        self.rmq = SparseRmq(self.lcp)
+        self._rank_tables = ranks if keep_rank_tables else None
 
     # -- suffix-level queries (1-based positions) --
 
@@ -152,21 +140,7 @@ class SuffixIndex:
 
     def _build_rank_tables(self):
         # tables[level][i] = rank of the length-2^level prefix of suffix i.
-        if self.n == 0:
-            return [np.empty(0, dtype=np.int64)]
-        _, rank = np.unique(self.codes, return_inverse=True)
-        rank = rank.astype(np.int64)
-        tables = [rank]
-        k = 1
-        while k < self.n:
-            rank2 = np.full(self.n, -1, dtype=np.int64)
-            rank2[: self.n - k] = rank[k:]
-            pair = rank * (self.n + 2) + (rank2 + 1)
-            _, rank = np.unique(pair, return_inverse=True)
-            rank = rank.astype(np.int64)
-            tables.append(rank)
-            k *= 2
-        return tables
+        return _prefix_doubling(self.codes, keep_ranks=True)[1]
 
     def lce_bulk(self, i_arr, j_arr):
         """Vectorized lce over 1-based position arrays (needs rank tables)."""
@@ -175,9 +149,12 @@ class SuffixIndex:
         i = np.asarray(i_arr, dtype=np.int64) - 1
         j = np.asarray(j_arr, dtype=np.int64) - 1
         res = np.zeros(i.shape, dtype=np.int64)
-        for level in range(len(self._rank_tables) - 1, -1, -1):
+        # Past the last table, whose ranks are all distinct, every level's
+        # ranks equal it: only a suffix paired with itself matches there.
+        top = len(self._rank_tables) - 1
+        for level in range(max(self.n - 1, 0).bit_length(), -1, -1):
             step = 1 << level
-            tab = self._rank_tables[level]
+            tab = self._rank_tables[min(level, top)]
             ok = (i + step <= self.n) & (j + step <= self.n)
             idx = np.flatnonzero(ok)
             if idx.size:
@@ -223,10 +200,9 @@ class SuffixIndex:
         return (ca > cb) - (ca < cb)
 
 
-def build_index(combined, rmq_mode="sparse", keep_rank_tables=False):
+def build_index(combined, keep_rank_tables=False):
     """SuffixIndex over a CombinedText's code sequence."""
-    return SuffixIndex(combined.codes(), rmq_mode=rmq_mode,
-                       keep_rank_tables=keep_rank_tables)
+    return SuffixIndex(combined.codes(), keep_rank_tables=keep_rank_tables)
 
 
 class CompactedTrie:
@@ -235,7 +211,8 @@ class CompactedTrie:
     Node 0 is the root.  Leaves carry payload lists (input indices); duplicate
     inputs collapse into one leaf with several payloads.  A node may be both
     internal and terminal (a string that is a proper prefix of another); its
-    payloads live on the node itself.
+    payloads live on the node itself.  Every children list is in increasing
+    node id order, which is also left-to-right order.
     """
 
     def __init__(self):

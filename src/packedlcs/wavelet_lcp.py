@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .text_core import PackedLcsError
-from .family_lcp import PairLcpResult, _ordered_witness
+from .family_lcp import PairLcpResult
 
 
 @dataclass
@@ -292,28 +292,25 @@ def solve_alpha_beta_core(trie1, seq, root_values, origins, beta):
 
 def solve_alpha_beta(inst, alpha, beta):
     """maxPairLCP for (alpha,beta)-families via the wavelet machinery."""
-    if not inst.p_elems or not inst.q_elems:
+    n_p = len(inst.p_elems)
+    if not n_p or not len(inst.q_elems):
         return PairLcpResult(0, None, 0)
     trie1, trie2 = inst.trie1, inst.trie2
-    for l1, l2 in inst.p_elems + inst.q_elems:
-        if trie1.depth[l1] > alpha or trie2.depth[l2] > beta:
-            raise PackedLcsError(
-                f"family member exceeds the ({alpha},{beta}) bound"
-            )
-    elems = inst.elements()
-    order = sorted(range(len(elems)), key=lambda u: (trie2.leaf_rank[elems[u][4]], u))
-    r2 = [trie2.leaf_rank[elems[u][4]] for u in order]
-    m = len(order)
-    lvals = [0] * m
-    for i in range(1, m):
-        lvals[i] = inst.lcp2.lcp(r2[i - 1], r2[i])
-    origins = np.array([elems[u][1] == 1 for u in order], dtype=bool)
-    seq = [trie1.leaf_rank[elems[u][3]] for u in order]
-    val, positions = solve_alpha_beta_core(trie1, seq, lvals, origins, beta)
+    leaves = np.concatenate([inst.p_elems, inst.q_elems])
+    if (np.asarray(trie1.depth)[leaves[:, 0]] > alpha).any() or (
+        np.asarray(trie2.depth)[leaves[:, 1]] > beta
+    ).any():
+        raise PackedLcsError(f"family member exceeds the ({alpha},{beta}) bound")
+    order = np.argsort(inst.r2, kind="stable")
+    r2 = inst.r2[order]
+    lvals = np.zeros(order.size, dtype=np.int64)
+    lvals[1:] = inst.lcp2.lcp_many(r2[:-1], r2[1:])
+    val, positions = solve_alpha_beta_core(
+        trie1, inst.r1[order], lvals, order >= n_p, beta
+    )
     if positions is None:
         return PairLcpResult(0, None, 0)
-    (o_a, i_a), (o_b, i_b) = (
-        (elems[order[p]][1], elems[order[p]][2]) for p in positions
-    )
-    witness = _ordered_witness(o_a, i_a, o_b, i_b)
-    return PairLcpResult(val, witness, 0)
+    a, b = (int(order[p]) for p in positions)
+    if (a < n_p) == (b < n_p):
+        return PairLcpResult(val, None, 0)
+    return PairLcpResult(val, (min(a, b), max(a, b) - n_p), 0)

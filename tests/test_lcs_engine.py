@@ -300,3 +300,19 @@ def test_suffix_subset_sort_matches_index_path():
         # orders may differ only within equal suffixes (identical starts)
         assert [int(starts0[i]) for i in o1] == [int(starts0[i]) for i in o2] or l1 == l2
         assert l1 == l2
+
+
+def test_short_regime_refuses_keys_over_budget():
+    import tracemalloc
+
+    rng = np.random.default_rng(40)
+    n = 1 << 16
+    s, t = rand_bytes(rng, n, 26), rand_bytes(rng, n, 26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PackedLcsError, match="budget"):
+            lcs_short(s, t, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

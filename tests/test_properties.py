@@ -2,33 +2,48 @@
 periodic and near-periodic strings, alphabets of up to 256 byte values, and
 length-1 inputs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from packedlcs.lcs_engine import fragment_order_and_lcps, lcs_short
-from packedlcs.oracles import lcs_dp
+from packedlcs.family_lcp import (
+    TwoFamiliesInstance,
+    instance_from_pairs,
+    max_pair_lcp_general,
+)
+from packedlcs.lcs_engine import fragment_order_and_lcps, lcs_long, lcs_short
+from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
+from packedlcs.suffix_index import build_compacted_trie
 
 
-@st.composite
-def string_pairs(draw):
-    """Two byte strings of one family over a shared alphabet of sigma values."""
-    sigma = draw(st.integers(1, 256))
+def _family_strings(draw, max_sigma, min_len, max_len):
+    """A drawer of byte strings of one family (random, unary, periodic or
+    near-periodic) over a shared alphabet of up to max_sigma values."""
+    sigma = draw(st.integers(1, max_sigma))
     letters = st.integers(0, sigma - 1)
     family = draw(st.sampled_from(["random", "unary", "periodic", "near_periodic"]))
     root = draw(st.lists(letters, min_size=1, max_size=1 if family == "unary" else 6))
 
     def one():
-        n = draw(st.integers(1, 60))
+        n = draw(st.integers(min_len, max_len))
         if family == "random":
             return bytes(draw(st.lists(letters, min_size=n, max_size=n)))
         shift = draw(st.integers(0, len(root) - 1))
         out = [root[(shift + i) % len(root)] for i in range(n)]
-        if family == "near_periodic":
+        if family == "near_periodic" and n:
             for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
                 out[i] = draw(letters)
         return bytes(out)
 
+    return one
+
+
+@st.composite
+def string_pairs(draw):
+    """Two byte strings of one family over a shared alphabet of sigma values."""
+    one = _family_strings(draw, 256, 1, 60)
     return one(), one()
 
 
@@ -86,3 +101,75 @@ def test_fragment_sort_matches_naive_sort(words, data):
     )
     assert order.tolist() == want
     assert lcps == [_lcp(strings[want[r]], strings[want[r + 1]]) for r in range(len(want) - 1)]
+
+
+# -- Two String Families LCP -------------------------------------------------
+
+
+@st.composite
+def family_instances(draw):
+    """P and Q as (first, second) string pairs of one string family, with
+    empty strings and duplicates (pairs repeated inside and across P and Q)."""
+    one = _family_strings(draw, 3, 0, 12)
+    pool = [(one(), one()) for _ in range(draw(st.integers(1, 12)))]
+    pick = st.integers(0, len(pool) - 1)
+    p = [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=14))]
+    q = [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=14))]
+    return p, q
+
+
+def _shared_trie_instance(p, q):
+    """One trie over every first and second component (trie1 is trie2)."""
+    strings = [x for pair in p + q for x in pair]
+    order = sorted(range(len(strings)), key=lambda i: strings[i])
+    lcps = [
+        _lcp(strings[order[r]], strings[order[r + 1]]) for r in range(len(order) - 1)
+    ]
+    trie = build_compacted_trie([len(strings[i]) for i in order], lcps, order)
+    leaf = [None] * len(strings)
+    for r, i in enumerate(order):
+        leaf[i] = trie.leaf_of_input[r]
+    pairs = [(leaf[2 * i], leaf[2 * i + 1]) for i in range(len(p) + len(q))]
+    return TwoFamiliesInstance(trie, trie, pairs[: len(p)], pairs[len(p) :])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@given(family_instances())
+def test_general_solver_matches_brute(shared, pq):
+    p, q = pq
+    inst = _shared_trie_instance(p, q) if shared else instance_from_pairs(p, q)
+    assert (inst.trie1 is inst.trie2) == shared
+    want, _ = brute_max_pair_lcp(p, q)
+    res = max_pair_lcp_general(inst)
+    assert res.value == want
+    pi, qi = res.witness
+    assert _lcp(p[pi][0], q[qi][0]) + _lcp(p[pi][1], q[qi][1]) == want
+    # Each element is probed where it is attached and then only where its
+    # subtree is light, which at least doubles the range: N (1 + log2 N).  For
+    # N >= 3 that is within N ceil(log2 N)^2.
+    n = len(p) + len(q)
+    assert res.merged_elements <= n * (1 + math.floor(math.log2(n)))
+
+
+@given(family_instances())
+def test_batched_rank_lcp_matches_scalar(pq):
+    p, q = pq
+    inst = instance_from_pairs(p, q)
+    seconds = [pair[1] for pair in p + q]
+    r2 = inst.r2
+    a, b = np.meshgrid(np.arange(r2.size), np.arange(r2.size))
+    got = inst.lcp2.lcp_many(r2[a.ravel()], r2[b.ravel()])
+    want = [inst.lcp2.lcp(int(r2[i]), int(r2[j])) for i, j in zip(a.ravel(), b.ravel())]
+    assert got.tolist() == want
+    assert want == [_lcp(seconds[i], seconds[j]) for i, j in zip(a.ravel(), b.ravel())]
+
+
+@given(string_pairs(), st.integers(1, 12))
+def test_long_regime_matches_dp_from_d(pair, d):
+    s, t = pair
+    want, _, _ = lcs_dp(s, t)
+    res = lcs_long(s, t, d)
+    assert _witnessed(s, t, res)
+    assert res.length <= want
+    if want >= d:
+        assert res.length == want

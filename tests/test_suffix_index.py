@@ -82,17 +82,6 @@ def test_lce_bulk_matches_scalar():
         assert g == idx.lce(int(a), int(b))
 
 
-def test_block_rmq_agrees():
-    rng = np.random.default_rng(13)
-    codes = rng.integers(0, 3, size=300).astype(np.int64)
-    a = SuffixIndex(codes, rmq_mode="sparse")
-    b = SuffixIndex(codes, rmq_mode="block")
-    for _ in range(200):
-        i = int(rng.integers(1, 301))
-        j = int(rng.integers(1, 301))
-        assert a.lce(i, j) == b.lce(i, j)
-
-
 def test_lce_fragments_examples():
     comb = combine_pair("banana", "ananas")
     idx = build_index(comb)
@@ -239,3 +228,38 @@ def test_trie_lca_depth_is_lcp_random():
         want = naive_lcp(suffixes[a], suffixes[b])
         assert trie.lca_depth(la, lb) == want
         assert trie.lca(la, la) == la
+
+
+def test_lcp_array_matches_scan_on_families():
+    rng = np.random.default_rng(18)
+    texts = ["a" * 70, "ab" * 35, "abc" * 23 + "b", "aab" * 20 + "a" * 9]
+    texts += ["".join(chr(97 + int(c)) for c in rng.integers(0, 3, size=90)) for _ in range(5)]
+    for s in texts:
+        sa = suffix_array(codes_of(s))
+        lcp = kasai_lcp(codes_of(s), sa)
+        assert lcp[0] == 0
+        for r in range(1, len(s)):
+            assert lcp[r] == naive_lcp(s[sa[r - 1]:], s[sa[r]:])
+
+
+def test_lce_bulk_self_pairs_span_the_suffix():
+    # Random text makes the rank tables stop after a few levels; a suffix
+    # paired with itself still shares all of its symbols.
+    rng = np.random.default_rng(19)
+    codes = rng.integers(0, 4, size=300).astype(np.int64)
+    idx = SuffixIndex(codes)
+    pos = np.arange(1, 301)
+    assert idx.lce_bulk(pos, pos).tolist() == (301 - pos).tolist()
+
+
+def test_trie_children_listed_in_id_order():
+    # The general family solver finds first and last children by node id.
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        strings = sorted(
+            "".join(chr(97 + int(c)) for c in rng.integers(0, 3, size=int(rng.integers(0, 9))))
+            for _ in range(int(rng.integers(1, 30)))
+        )
+        trie = build_trie_from_strings(strings)
+        for kids in trie.children:
+            assert kids == sorted(kids)
