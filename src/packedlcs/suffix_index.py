@@ -1,10 +1,10 @@
 """Suffix-array backed LCE queries, fragment comparison, and compacted tries.
 
-The suffix array is built by numpy prefix doubling (lexsort per round, early
-exit once ranks are distinct), the LCP array is read from that doubling's
-rank tables level by level, and range minima come from a sparse table.  Compacted
-tries are built in one left-to-right pass from a sorted list with adjacent
-LCPs and answer LCA queries through an Euler tour.
+The suffix array is built by numpy prefix doubling (one int64 key sort per
+round, early exit once ranks are distinct), the LCP array is read from that
+doubling's rank tables level by level, and range minima come from a sparse
+table.  Compacted tries are built in one left-to-right pass from a sorted
+list with adjacent LCPs and answer LCA queries through an Euler tour.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ def _prefix_doubling(codes, keep_ranks=False):
     order = np.argsort(rank, kind="stable")
     k = 1
     while int(rank[order[-1]]) < n - 1:
-        rank2 = np.full(n, -1, dtype=dtype)
+        # Sort by (rank, rank of the suffix k further or -1 past the end) as
+        # one int64 key; ties need no order, since the final ranks are distinct.
+        key = rank.astype(np.int64) * (n + 1)
         if k < n:
-            rank2[:-k] = rank[k:]
-        order = np.lexsort((rank2, rank))
-        changed = (np.diff(rank[order]) != 0) | (np.diff(rank2[order]) != 0)
+            key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        changed = np.diff(key[order]) != 0
         rank = np.empty(n, dtype=dtype)
         rank[order[0]] = 0
         rank[order[1:]] = np.cumsum(changed)
