@@ -129,3 +129,15 @@ def test_witness_tie_break_deterministic():
     assert res.value == 4
     pi, qi = res.witness
     assert p[pi] == ("zz", "ab") and q[qi] == ("zz", "ab")
+
+
+def test_instance_rejects_components_that_are_not_ranked_leaves():
+    inst = instance_from_pairs([("ab", "x"), ("ac", "y")], [("ab", "x")])
+    trie1 = inst.trie1
+    branch = trie1.parent[int(inst.p_elems[0][0])]  # "a": internal, unranked
+    assert branch > 0 and branch not in trie1.leaf_rank
+    leaf2 = int(inst.p_elems[0][1])
+    with pytest.raises(PackedLcsError, match="ranked"):
+        TwoFamiliesInstance(trie1, inst.trie2, [(branch, leaf2)], [(branch, leaf2)])
+    with pytest.raises(PackedLcsError, match="not a trie node"):
+        TwoFamiliesInstance(trie1, inst.trie2, [(trie1.node_count(), leaf2)], [])
