@@ -53,25 +53,14 @@ def _int_dtype(bound):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _node_ranks(trie):
-    """Leaf rank of every trie node, -1 for nodes without one."""
-    rank_of = np.full(trie.node_count(), -1, dtype=np.int64)
-    rank_of[np.asarray(trie.leaf_at_rank, dtype=np.int64)] = np.arange(
-        len(trie.leaf_at_rank)
-    )
-    return rank_of
-
-
 class _RankLcp:
     """LCP between ranked trie nodes given their ranks: a sparse table of
     minima over the adjacent-rank LCPs, table[j, r] = min(adj[r : r + 2^j])."""
 
     def __init__(self, trie):
-        at_rank = np.asarray(trie.leaf_at_rank, dtype=np.int64)
-        depth = np.asarray(trie.depth, dtype=np.int64)
-        dtype = _int_dtype(int(depth.max()))
-        self.depth = depth[at_rank].astype(dtype)
-        adj = np.asarray(trie.adjacent_leaf_lcp, dtype=dtype)
+        self.depth = trie.depth[trie.leaf_at_rank]
+        adj = trie.adjacent_leaf_lcp
+        dtype = trie.depth.dtype
         n = adj.size
         # One spare column keeps every gather in bounds (equal ranks read it).
         table = np.zeros((max(1, n.bit_length()), n + 1), dtype=dtype)
@@ -119,7 +108,8 @@ class TwoFamiliesInstance:
     def _ranks(trie, nodes):
         if nodes.size and (nodes.min() < 0 or nodes.max() >= trie.node_count()):
             raise PackedLcsError("pair component is not a trie node")
-        ranks = _node_ranks(trie)[nodes]
+        # int64: the general solver codes a rank times the element count.
+        ranks = trie.leaf_rank[nodes].astype(np.int64)
         if (ranks < 0).any():
             raise PackedLcsError("pair component is not a ranked trie node")
         return ranks
@@ -149,33 +139,6 @@ def _best_pair(values, a, b, n_p):
     return int(top), (int(p[k]), int(q[k]))
 
 
-def _subtree_rank_spans(parent, rank_of):
-    """(lowest, highest) leaf rank below every node of a compacted trie,
-    given its parent array, by pointer jumping down the leftmost and the
-    rightmost paths.  Ranks follow a preorder and a ranked node sorts before
-    its children; build_compacted_trie lists every node's children in
-    increasing id order, so the first child has the smallest id."""
-    n = parent.size
-    ids = np.arange(n)
-    first_kid = np.full(n, n, dtype=np.int64)
-    last_kid = np.full(n, -1, dtype=np.int64)
-    np.minimum.at(first_kid, parent[1:], ids[1:])
-    np.maximum.at(last_kid, parent[1:], ids[1:])
-    leaf = last_kid < 0
-    spans = []
-    for down in (
-        np.where((rank_of >= 0) | leaf, ids, first_kid),
-        np.where(leaf, ids, last_kid),
-    ):
-        while True:
-            nxt = down[down]
-            if np.array_equal(nxt, down):
-                break
-            down = nxt
-        spans.append(rank_of[down])
-    return spans
-
-
 def _probes(inst, dt):
     """Small-to-large probes over the first trie.
 
@@ -187,17 +150,16 @@ def _probes(inst, dt):
     """
     trie1 = inst.trie1
     n_nodes = trie1.node_count()
-    parent = np.fromiter(trie1.parent, dtype=np.int64, count=n_nodes)
     order = np.argsort(inst.r1, kind="stable")
     r1_sorted = inst.r1[order]
-    lo_rank, hi_rank = _subtree_rank_spans(parent, _node_ranks(trie1))
+    lo_rank, end_rank = trie1.rank_spans()
     lo = np.searchsorted(r1_sorted, lo_rank, "left").astype(dt)
-    hi = np.searchsorted(r1_sorted, hi_rank, "right").astype(dt)
-    del lo_rank, hi_rank, r1_sorted
+    hi = np.searchsorted(r1_sorted, end_rank, "left").astype(dt)
+    del lo_rank, end_rank, r1_sorted
     # Heaviest child per node: its element count and the start of its range.
     # A node with no elements below any child keeps the empty range [hi, hi).
     count = hi - lo
-    parent = parent[1:]
+    parent = trie1.parent[1:]
     heavy = np.zeros_like(count)
     np.maximum.at(heavy, parent, count[1:])
     top = np.flatnonzero((count[1:] == heavy[parent]) & (count[1:] > 0))
@@ -243,7 +205,7 @@ def max_pair_lcp_general(inst):
     for row, bound in enumerate((lo, hi)):
         at = bound[node]
         ends[row] = np.where(from_p, seen_q[at], seen_p[at] + off)
-    depth = np.asarray(inst.trie1.depth)[node]
+    depth = inst.trie1.depth[node]
     # Arrays go as soon as they are used: probes number O(N log N).
     del pos, node, lo, hi, from_p, at, seen_p, seen_q, in_p
     # Longest query ranges first: a range covers a whole level-L block only if
@@ -300,7 +262,8 @@ def max_pair_lcp_general(inst):
         hit = np.flatnonzero((code >= 0) & (code < none))
         if not hit.size:
             continue
-        values = depth[hit] + inst.lcp2.lcp_many(r2_probe[hit], code[hit] // n_all)
+        values = inst.lcp2.lcp_many(r2_probe[hit], code[hit] // n_all)
+        values = depth[hit].astype(np.int64) + values
         top = values == values.max()
         hit = hit[top]
         value, witness = _best_pair(values[top], probe[hit], code[hit] % n_all, n_p)
@@ -432,10 +395,9 @@ def _trie_over(strings):
         _naive_lcp(strings[order[r]], strings[order[r + 1]])
         for r in range(len(order) - 1)
     ]
-    trie = build_compacted_trie(lengths, lcps, payload_ids=list(order))
-    leaf_by_elem = [None] * len(strings)
-    for r, elem in enumerate(order):
-        leaf_by_elem[elem] = trie.leaf_of_input[r]
+    trie = build_compacted_trie(lengths, lcps, payload_ids=order)
+    leaf_by_elem = np.empty(len(strings), dtype=np.int64)
+    leaf_by_elem[order] = trie.leaf_of_input
     return trie, leaf_by_elem
 
 

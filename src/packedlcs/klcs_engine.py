@@ -32,7 +32,7 @@ import numpy as np
 from .text_core import PackedLcsError
 from .suffix_index import SuffixIndex, build_compacted_trie
 from .sync_runs import build_sync_set, find_tau_runs, misperiods
-from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general
+from .family_lcp import TwoFamiliesInstance, _RankLcp, max_pair_lcp_general
 from .wavelet_lcp import solve_alpha_beta
 from .lcs_engine import _Ctx, lcs
 
@@ -285,68 +285,66 @@ class _CompleteFamily:
         if not entries:
             return
         lens = [self._frag(entries[i])[1] for i in order]
-        trie = build_compacted_trie(lens, lcps, list(order))
-        leaf_of_entry = {}
-        for r, ent in enumerate(order):
-            leaf_of_entry[ent] = trie.leaf_of_input[r]
+        trie = build_compacted_trie(lens, lcps, order)
+        on, parent, end = trie.leaf_of_input, trie.parent, trie.subtree_end
         nc = trie.node_count()
-        leaf_count = [0] * nc
-        post = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            post.append(v)
-            stack.extend(trie.children[v])
-        for v in reversed(post):
-            c = len(trie.payloads[v])
-            for ch in trie.children[v]:
-                c += leaf_count[ch]
-            leaf_count[v] = c
-        heavy = [-1] * nc
-        for v in range(nc):
-            kids = trie.children[v]
-            if kids:
-                heavy[v] = max(kids, key=lambda ch: (leaf_count[ch], -kids.index(ch)))
-        light_nodes = [0] + [
-            ch for v in range(nc) for ch in trie.children[v] if ch != heavy[v]
-        ]
+        ids = np.arange(nc)
+        # Ids are in preorder and entries sit on nodes in sorted order, so the
+        # entries below v are those at sorted positions [below[v], below[end[v]]).
+        below = np.zeros(nc + 1, dtype=np.int64)
+        np.cumsum(np.bincount(on, minlength=nc), out=below[1:])
+        leaf_count = below[end] - below[:-1]
+        # Heavy child: the first child with the most entries below it.
+        most = np.zeros(nc, dtype=np.int64)
+        np.maximum.at(most, parent[1:], leaf_count[1:])
+        tops = ids[1:][leaf_count[1:] == most[parent[1:]]]
+        heavy = np.full(nc, nc)
+        np.minimum.at(heavy, parent[tops], tops)
+        light = np.ones(nc, dtype=bool)
+        light[heavy[heavy < nc]] = False
+        light_nodes = ids[light]
+
+        def ancestors(mask):
+            # Nodes of mask on the path from the root to every node.
+            return np.cumsum(
+                np.bincount(ids[mask], minlength=nc + 1)
+                - np.bincount(end[mask], minlength=nc + 1)
+            )[:nc]
+
         # Light-ancestor instrumentation: every leaf has at most
         # min(node height, ceil(log2 leaves)) + 1 light ancestors.
-        light_set = set(light_nodes)
-        total_leaves = max(1, leaf_count[0])
-        log_bound = max(0, math.ceil(math.log2(total_leaves))) + 1
-        for r, ent in enumerate(order):
-            v = leaf_of_entry[ent]
-            cnt = 0
-            anc = 0
-            while v != -1:
-                if v in light_set:
-                    cnt += 1
-                anc += 1
-                v = trie.parent[v]
-            if cnt > min(anc, log_bound):
-                raise PackedLcsError("internal: heavy-light ancestor bound broken")
-            self.counters.light_ancestors_max = max(
-                self.counters.light_ancestors_max, cnt
-            )
-        for w in light_nodes:
-            hw = w
-            while trie.children[hw]:
-                hw = heavy[hw]
-            # h(w): deepest leaf on the heavy path; payloads give its string.
-            pivot_entry = entries[trie.payloads[hw][0]]
+        log_bound = max(0, math.ceil(math.log2(len(entries)))) + 1
+        cnt = ancestors(light)[on]
+        if (cnt > np.minimum(ancestors(np.ones(nc, dtype=bool))[on], log_bound)).any():
+            raise PackedLcsError("internal: heavy-light ancestor bound broken")
+        self.counters.light_ancestors_max = max(
+            self.counters.light_ancestors_max, int(cnt.max())
+        )
+        # h(w): deepest leaf on w's heavy path; its first entry gives its string.
+        hw = np.where(heavy < nc, heavy, ids)
+        while True:
+            nxt = hw[hw]
+            if np.array_equal(nxt, hw):
+                break
+            hw = nxt
+        hw = hw[light_nodes]
+        # The light nodes' position ranges, concatenated, and the LCP of each
+        # entry there with h(w), from the leaf-rank LCP table.
+        size = below[end[light_nodes]] - below[light_nodes]
+        stop = np.cumsum(size)
+        pos = np.repeat(below[light_nodes] - (stop - size), size) + np.arange(stop[-1])
+        ells = _RankLcp(trie).lcp_many(
+            trie.leaf_rank[on[pos]], trie.leaf_rank[np.repeat(hw, size)]
+        ).tolist()
+        order = np.asarray(order)
+        sub, pivots, stop = order[pos].tolist(), order[below[hw]].tolist(), stop.tolist()
+        for pivot, a, b in zip(pivots, [0] + stop[:-1], stop):
+            pivot_entry = entries[pivot]
             pl = self._frag(pivot_entry)[1]
             child = []
-            stack = [w]
-            sub_entries = []
-            while stack:
-                v = stack.pop()
-                sub_entries.extend(trie.payloads[v])
-                stack.extend(trie.children[v])
             per_source = {}
-            for ei in sub_entries:
+            for ei, ell in zip(sub[a:b], ells[a:b]):
                 src, delta = entries[ei]
-                ell = trie.lca_depth(leaf_of_entry[ei], hw)
                 if delta and max(p for p, _ in delta) > ell:
                     continue
                 child.append((src, delta))
@@ -559,22 +557,17 @@ def _solve_merged(idx, codes, pairs, pool, ell, n_bound, counters):
                         1 + _lcp_modified(idx, codes, fp, p[delta_pos], f, e[delta_pos])
                     )
         trie = build_compacted_trie(lengths, lcps, order)
-        leaf = [None] * len(elems)
-        for r, i in enumerate(order):
-            leaf[int(i)] = trie.leaf_of_input[r]
+        leaf = np.empty(len(elems), dtype=np.int64)
+        leaf[order] = trie.leaf_of_input
         return trie, leaf
 
     trie1, leaf1 = build_side(0, 4, 3)
     trie2, leaf2 = build_side(1, 6, 5)
-    p_elems, q_elems, p_ids, q_ids = [], [], [], []
-    for i, e in enumerate(elems):
-        if e[2] == 0:
-            p_elems.append((leaf1[i], leaf2[i]))
-            p_ids.append(e[1])
-        else:
-            q_elems.append((leaf1[i], leaf2[i]))
-            q_ids.append(e[1])
-    inst = TwoFamiliesInstance(trie1, trie2, p_elems, q_elems)
+    in_q = np.array([e[2] for e in elems], dtype=bool)
+    pair_of = np.array([e[1] for e in elems])
+    p_ids, q_ids = pair_of[~in_q].tolist(), pair_of[in_q].tolist()
+    both = np.stack([leaf1, leaf2], axis=1)
+    inst = TwoFamiliesInstance(trie1, trie2, both[~in_q], both[in_q])
     if ell > max(1.0, math.log2(max(2, n_bound))) ** 1.5:
         res = max_pair_lcp_general(inst)
     else:
@@ -707,7 +700,7 @@ def _vec_lcp_k(idx, a0, la, b0, lb, k):
     return np.minimum(cur, limit)
 
 
-_BRUTE_CHUNK = 1 << 21
+_BRUTE_CHUNK = 1 << 16
 
 
 def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):

@@ -248,8 +248,8 @@ def _bitlen_u64(x):
 
 def fragment_order_and_lcps(codes, starts0, lens, idx=None, suffix_like=False):
     """Sort fragments (start, length) of one code array lexicographically and
-    return (order, adjacent LCPs of the sorted list).  Equal fragments keep
-    their input order.
+    return (order, adjacent LCPs of the sorted list) as int arrays.  Equal
+    fragments keep their input order.
 
     suffix_like: the fragments run to a below-letter terminator (segment
     suffixes), so raw suffix order is already fragment order; idx, when
@@ -261,19 +261,16 @@ def fragment_order_and_lcps(codes, starts0, lens, idx=None, suffix_like=False):
     lens = np.asarray(lens, dtype=np.int64)
     m = len(starts0)
     if m == 0:
-        return np.empty(0, dtype=np.int64), []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if suffix_like and idx is None:
         order, lce = _suffix_subset_order(codes, starts0)
-        out = np.minimum(lce, np.minimum(lens[order][:-1], lens[order][1:]))
-        return order, out.tolist()
+        return order, np.minimum(lce, np.minimum(lens[order][:-1], lens[order][1:]))
     if suffix_like:
         ranks = idx.isa[starts0]
         order = np.argsort(ranks, kind="stable")
         lcps = _subset_adjacent_lce(idx, ranks[order])
-        out = np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
-        return order, out.tolist()
-    order, lcps = _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
-    return order, lcps.tolist()
+        return order, np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
+    return _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
 
 
 def _sort_packed_fragments(codes, starts0, lens, width):
@@ -395,17 +392,25 @@ def _suffix_subset_order(codes, starts0):
     return order, lce
 
 
-def _trie_from_sorted(lens_sorted, lcps, ids_sorted):
-    return build_compacted_trie(list(map(int, lens_sorted)), list(map(int, lcps)), list(map(int, ids_sorted)))
+def _sorted_trie(order, lens_sorted, lcps):
+    """Compacted trie of a list given in sorted order, and the node of every
+    input element (element order[r] has length lens_sorted[r])."""
+    trie = build_compacted_trie(lens_sorted, lcps, order)
+    leaf_by_comp = np.empty(len(order), dtype=np.int64)
+    leaf_by_comp[order] = trie.leaf_of_input
+    return trie, leaf_by_comp
 
 
 def _component_trie(codes, starts0, lens, idx=None, suffix_like=False):
     order, lcps = fragment_order_and_lcps(codes, starts0, lens, idx, suffix_like)
-    lens = np.asarray(lens, dtype=np.int64)
-    trie = _trie_from_sorted(lens[order], lcps, order)
-    leaf_by_comp = np.empty(len(order), dtype=np.int64)
-    leaf_by_comp[order] = trie.leaf_of_input
-    return trie, leaf_by_comp
+    return _sorted_trie(order, np.asarray(lens, dtype=np.int64)[order], lcps)
+
+
+def _prefix_trie(lens):
+    """Trie of prefixes of one common string, given their lengths."""
+    order = np.argsort(lens, kind="stable")
+    lens_sorted = np.asarray(lens, dtype=np.int64)[order]
+    return _sorted_trie(order, lens_sorted, np.minimum(lens_sorted[:-1], lens_sorted[1:]))
 
 
 # -- short regime ------------------------------------------------------------
@@ -621,7 +626,7 @@ def _medium_case_one_bulk(ctx, anchors, tau, cap):
         lcp_u = np.minimum(lcp_u, np.minimum(lens_u[:-1], lens_u[1:]))
     else:
         lcp_u = np.empty(0, dtype=np.int64)
-    trie1 = _trie_from_sorted(lens_u, lcp_u, np.arange(len(uniq)))
+    trie1 = build_compacted_trie(lens_u, lcp_u)
     order, lcps2 = _sort_packed_fragments(st, pos0, l2, cap)
     root_vals = np.concatenate([[0], lcps2])
     val, positions = solve_alpha_beta_core(
@@ -655,39 +660,25 @@ def _medium_case_one(ctx, anchors, tau, cap):
         and cap * bits <= 62
     ):
         return _medium_case_one_bulk(ctx, anchors, tau, cap)
-    elems = []  # (origin, anchor, rev_start0, rev_len, fwd_start0, fwd_len)
-    for a in anchors.a1_s:
-        a = int(a)
-        l1 = min(tau, a - 1)
-        l2 = min(cap, ctx.ns - a + 1)
-        elems.append((0, a, a - 1 - l1, l1, a - 1, l2))
-    off_t = ctx.ns + 1
-    for b in anchors.a1_t:
-        b = int(b)
-        l1 = min(tau, b - 1)
-        l2 = min(cap, ctx.nt - b + 1)
-        elems.append((1, b, off_t + b - 1 - l1, l1, off_t + b - 1, l2))
-    if not any(e[0] == 0 for e in elems) or not any(e[0] == 1 for e in elems):
+    a_s, a_t = (np.asarray(a, dtype=np.int64) for a in (anchors.a1_s, anchors.a1_t))
+    if not a_s.size or not a_t.size:
         return None
-    # First components are reversed in-place windows; realize them as plain
-    # key strings by reading backwards (packed keys handle both sides).
-    rev_codes = st[::-1]
-    n = len(st)
-    rev_starts = [n - (e[2] + e[3]) for e in elems]
-    trie1, leaf1 = _component_trie(rev_codes, rev_starts, [e[3] for e in elems])
-    trie2, leaf2 = _component_trie(st, [e[4] for e in elems], [e[5] for e in elems])
-    p_elems = [(leaf1[i], leaf2[i]) for i, e in enumerate(elems) if e[0] == 0]
-    q_elems = [(leaf1[i], leaf2[i]) for i, e in enumerate(elems) if e[0] == 1]
-    p_ids = [i for i, e in enumerate(elems) if e[0] == 0]
-    q_ids = [i for i, e in enumerate(elems) if e[0] == 1]
-    inst = TwoFamiliesInstance(trie1, trie2, p_elems, q_elems)
+    # Elements: S's anchors, then T's.  The first component is the window of
+    # up to tau symbols before the anchor, read backwards; the second the
+    # window of up to cap symbols from it.
+    anchor = np.concatenate([a_s, a_t])
+    fwd0 = np.concatenate([a_s - 1, ctx.ns + a_t])  # 0-based starts in S$T
+    rest = np.concatenate([ctx.ns - a_s, ctx.nt - a_t]) + 1
+    trie1, leaf1 = _component_trie(st[::-1], len(st) - fwd0, np.minimum(tau, anchor - 1))
+    trie2, leaf2 = _component_trie(st, fwd0, np.minimum(cap, rest))
+    elems = np.stack([leaf1, leaf2], axis=1)
+    inst = TwoFamiliesInstance(trie1, trie2, elems[: a_s.size], elems[a_s.size :])
     res = solve_alpha_beta(inst, tau, cap)
     if res.witness is None:
         return None
     pi, qi = res.witness
-    ea, eb = elems[p_ids[pi]], elems[q_ids[qi]]
     left = inst.first_lcp(pi, qi)
-    return LcsResult(res.value, ea[1] - left, eb[1] - left, "medium")
+    return LcsResult(res.value, int(a_s[pi]) - left, int(a_t[qi]) - left, "medium")
 
 
 def _medium_case_two(ctx, anchors):
@@ -747,37 +738,20 @@ def _solve_prefix_groups(ctx, groups, case):
                 len2 = slen - pos + 1
                 st_pos0 = pos - 1 if which == "S" else ctx.ns + 1 + pos - 1
                 recs.append((which, pos, len1, len2, st_pos0))
-        # trie1: prefixes of one common periodic string; sort by length.
-        order1 = sorted(range(len(recs)), key=lambda i: recs[i][2])
-        lens1 = [recs[i][2] for i in order1]
-        lcps1 = [min(lens1[r], lens1[r + 1]) for r in range(len(lens1) - 1)]
-        trie1 = _trie_from_sorted(lens1, lcps1, order1)
-        leaf1 = [None] * len(recs)
-        for r, e in enumerate(order1):
-            leaf1[int(e)] = trie1.leaf_of_input[r]
+        # trie1: prefixes of one common periodic string; so is case II's trie2.
+        trie1, leaf1 = _prefix_trie([r[2] for r in recs])
         if case == "II":
-            order2 = sorted(range(len(recs)), key=lambda i: recs[i][3])
-            lens2 = [recs[i][3] for i in order2]
-            lcps2 = [min(lens2[r], lens2[r + 1]) for r in range(len(lens2) - 1)]
-            trie2 = _trie_from_sorted(lens2, lcps2, order2)
-            leaf2 = [None] * len(recs)
-            for r, e in enumerate(order2):
-                leaf2[int(e)] = trie2.leaf_of_input[r]
+            trie2, leaf2 = _prefix_trie([r[3] for r in recs])
         else:
             if st_idx is None and len(st) <= (1 << 17):
                 st_idx = ctx.st_index()
             trie2, leaf2 = _component_trie(
                 st, [r[4] for r in recs], [r[3] for r in recs], st_idx, suffix_like=True
             )
-        p_elems, q_elems, p_ids, q_ids = [], [], [], []
-        for i, r in enumerate(recs):
-            if r[0] == "S":
-                p_elems.append((leaf1[i], leaf2[i]))
-                p_ids.append(i)
-            else:
-                q_elems.append((leaf1[i], leaf2[i]))
-                q_ids.append(i)
-        inst = TwoFamiliesInstance(trie1, trie2, p_elems, q_elems)
+        in_s = np.array([r[0] == "S" for r in recs])
+        p_ids, q_ids = np.flatnonzero(in_s), np.flatnonzero(~in_s)
+        elems = np.stack([leaf1, leaf2], axis=1)
+        inst = TwoFamiliesInstance(trie1, trie2, elems[p_ids], elems[q_ids])
         res = max_pair_lcp_prefix(inst)
         if res.witness is None:
             continue

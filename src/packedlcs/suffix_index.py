@@ -3,11 +3,14 @@
 The suffix array is built by numpy prefix doubling (one int64 key sort per
 round, early exit once ranks are distinct), the LCP array is read from that
 doubling's rank tables level by level, and range minima come from a sparse
-table.  Compacted tries are built in one left-to-right pass from a sorted
-list with adjacent LCPs and answer LCA queries through an Euler tour.
+table built on the first scalar LCE query.  A compacted trie of a sorted list
+with adjacent LCPs is its LCP-interval tree, built with numpy from
+nearest-smaller-value queries: int arrays by node id, ids in preorder.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +113,7 @@ class SparseRmq:
 
 
 class SuffixIndex:
-    """Suffix array + inverse + LCP + RMQ over a code sequence.
+    """Suffix array + inverse + LCP (+ RMQ on first use) over a code sequence.
 
     Exposes O(1) longest-common-extension queries between suffixes and
     fragment-level LCP/ordering for fragments of a combined text.
@@ -124,8 +127,12 @@ class SuffixIndex:
         if self.n:
             self.isa[self.sa] = np.arange(self.n)
         self.lcp = _lcp_from_ranks(self.sa, ranks)
-        self.rmq = SparseRmq(self.lcp)
         self._rank_tables = ranks if keep_rank_tables else None
+
+    @cached_property
+    def rmq(self):
+        """Range minima over the LCP array, built for the first lce call."""
+        return SparseRmq(self.lcp)
 
     # -- suffix-level queries (1-based positions) --
 
@@ -208,161 +215,163 @@ def build_index(combined, keep_rank_tables=False):
 
 
 class CompactedTrie:
-    """Compacted trie over a sorted string list, with string-depths and LCA.
+    """Compacted trie over a sorted string list, as int arrays by node id.
 
-    Node 0 is the root.  Leaves carry payload lists (input indices); duplicate
-    inputs collapse into one leaf with several payloads.  A node may be both
-    internal and terminal (a string that is a proper prefix of another); its
-    payloads live on the node itself.  Every children list is in increasing
-    node id order, which is also left-to-right order.
+    Ids are in preorder with children left to right: node 0 is the root,
+    parent[v] < v, and the subtree of v is the id range [v, subtree_end[v]).
+    depth[v] is the string depth of v.  Input i lands on node
+    leaf_of_input[i]; equal inputs share a node, and an input that is a proper
+    prefix of the next lands on the internal node that spells it.  The nodes
+    that carry inputs are ranked in input order, which is also their id
+    order: leaf_at_rank[r] is the node of rank r, leaf_rank[v] the rank of v
+    (-1 where v carries no input) and adjacent_leaf_lcp[r] the LCP of the
+    strings of ranks r and r + 1.  ``children`` and ``payloads`` (the payload
+    ids of the inputs on each node, in input order) are lists built from the
+    arrays on first use.
     """
 
-    def __init__(self):
-        self.parent = [-1]
-        self.depth = [0]
-        self.children = [[]]
-        self.payloads = [[]]
-        # Representative input index + depth span of the incoming edge.
-        self.edge_rep = [-1]
-        self.leaf_of_input = []
-        self._euler_node = None
-        self._euler_depth = None
-        self._first_visit = None
-        self._euler_rmq = None
-        self.leaf_rank = {}
-        self.leaf_at_rank = []
-        # adjacent_leaf_lcp[r] = LCP(val(leaf rank r-1), val(leaf rank r)).
-        self.adjacent_leaf_lcp = []
-
-    # -- construction ------------------------------------------------------
-
-    def _new_node(self, parent, depth, rep):
-        self.parent.append(parent)
-        self.depth.append(depth)
-        self.children.append([])
-        self.payloads.append([])
-        self.edge_rep.append(rep)
-        node = len(self.parent) - 1
-        self.children[parent].append(node)
-        return node
+    def __init__(self, parent, depth, subtree_end, leaf_of_input, leaf_at_rank,
+                 adjacent_leaf_lcp, payload_ids):
+        self.parent = parent
+        self.depth = depth
+        self.subtree_end = subtree_end
+        self.leaf_of_input = leaf_of_input
+        self.leaf_at_rank = leaf_at_rank
+        self.adjacent_leaf_lcp = adjacent_leaf_lcp
+        self.leaf_rank = np.full(parent.size, -1, dtype=parent.dtype)
+        self.leaf_rank[leaf_at_rank] = np.arange(leaf_at_rank.size)
+        self.payload_ids = payload_ids
 
     def node_count(self):
-        return len(self.parent)
+        return self.parent.size
 
     def is_leaf(self, v):
-        return not self.children[v]
+        return int(self.subtree_end[v]) == v + 1
 
-    def val_span(self, v):
-        """(representative input index, string depth) identifying val(v)."""
-        return self.edge_rep[v], self.depth[v]
+    @cached_property
+    def children(self):
+        kids = [[] for _ in range(self.node_count())]
+        for v, p in enumerate(self.parent[1:].tolist(), 1):
+            kids[p].append(v)
+        return kids
 
-    # -- LCA ----------------------------------------------------------------
+    @cached_property
+    def payloads(self):
+        out = [[] for _ in range(self.node_count())]
+        for v, pid in zip(self.leaf_of_input.tolist(), self.payload_ids.tolist()):
+            out[v].append(pid)
+        return out
 
-    def _build_euler(self):
-        order = []
-        depths = []
-        first = [-1] * self.node_count()
-        stack = [(0, 0, iter(self.children[0]))]
-        first[0] = 0
-        order.append(0)
-        depths.append(0)
-        while stack:
-            node, d, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                if stack:
-                    order.append(stack[-1][0])
-                    depths.append(stack[-1][1])
-                continue
-            order.append(child)
-            depths.append(d + 1)
-            first[child] = len(order) - 1
-            stack.append((child, d + 1, iter(self.children[child])))
-        self._euler_node = np.array(order, dtype=np.int64)
-        self._euler_depth = np.array(depths, dtype=np.int64)
-        self._first_visit = np.array(first, dtype=np.int64)
-        enc = self._euler_depth * len(order) + np.arange(len(order))
-        self._euler_rmq = SparseRmq(enc)
+    def rank_spans(self):
+        """(first, end) arrays: the leaf ranks in the subtree of v are
+        [first[v], end[v]).  Ranks follow the preorder ids, so they are those
+        of the ranked ids in [v, subtree_end[v])."""
+        ranked_before = np.zeros(self.node_count() + 1, dtype=np.int64)
+        np.cumsum(self.leaf_rank >= 0, out=ranked_before[1:])
+        return ranked_before[:-1], ranked_before[self.subtree_end]
 
     def lca(self, u, v):
-        if self._euler_rmq is None:
-            self._build_euler()
-        fu, fv = int(self._first_visit[u]), int(self._first_visit[v])
-        if fu > fv:
-            fu, fv = fv, fu
-        enc = self._euler_rmq.query(fu, fv + 1)
-        return int(self._euler_node[enc % len(self._euler_node)])
+        """Lowest common ancestor: the first node up from u whose subtree
+        holds v."""
+        u, v = int(u), int(v)
+        while not u <= v < self.subtree_end[u]:
+            u = int(self.parent[u])
+        return u
 
     def lca_depth(self, u, v):
         """String depth of lca(u, v) = LCP of val(u) and val(v)."""
-        return self.depth[self.lca(u, v)]
+        return int(self.depth[self.lca(u, v)])
+
+
+def _nearest_smaller(h):
+    """(previous, next) position of a strictly smaller value for every entry
+    of h, -1 and len(h) where there is none.  One descent over a sparse table
+    of minima: from the widest level down, each position's run of values at
+    least its own grows by a whole block whenever the block's minimum allows."""
+    b = h.size
+    table = SparseRmq(h).table
+    lo = np.arange(b, dtype=np.int32 if b < 2**31 else np.int64)
+    hi = lo + 1
+    for j in range(len(table) - 1, -1, -1):
+        w, tab = 1 << j, table[j]
+        ok = (lo >= w) & (tab.take(lo - w, mode="clip") >= h)
+        np.subtract(lo, w, out=lo, where=ok)
+        ok = (hi <= b - w) & (tab.take(hi, mode="clip") >= h)
+        np.add(hi, w, out=hi, where=ok)
+    return lo - 1, hi
 
 
 def build_compacted_trie(lengths, lcps, payload_ids=None):
     """Compacted trie of a lexicographically sorted list.
 
     lengths[i] is the length of the i-th string; lcps[r] = LCP(string r,
-    string r+1) for r in [0, len-2].  Equal adjacent strings (lcp == both
-    lengths) collapse into one leaf.  Strings themselves are never touched:
-    the caller guarantees the sort and the adjacent LCPs.
+    string r+1) for r in [0, len-2].  Equal adjacent strings collapse into
+    one node.  Strings themselves are never touched: the caller guarantees
+    the sort and the adjacent LCPs, and a negative LCP, one above a length or
+    one that puts a proper prefix after its extension raises PackedLcsError.
+
+    The trie is the LCP-interval tree of the list (Abouelhoda, Kurtz and
+    Ohlebusch, 2004), built without a loop over strings: boundary r belongs
+    to the interval node (first string after the previous smaller LCP,
+    lcps[r]), whose parent is the node of the deeper of its two nearest
+    smaller boundaries.  A string longer than both of its adjacent LCPs gets
+    a leaf below the deeper one's node; any other string lands on that node
+    itself.  Sorting the node keys (first string, depth) numbers the nodes in
+    preorder.
     """
-    m = len(lengths)
-    if lcps is not None and len(lcps) != max(0, m - 1):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    h = np.asarray([] if lcps is None else lcps, dtype=np.int64)
+    m = lengths.size
+    if h.size != max(0, m - 1):
         raise PackedLcsError("need exactly len-1 adjacent LCP values")
-    trie = CompactedTrie()
-    if m == 0:
-        return trie
-    if payload_ids is None:
-        payload_ids = list(range(m))
-
-    def attach(node, idx):
-        if trie.depth[node] == lengths[idx]:
-            trie.payloads[node].append(payload_ids[idx])
-            trie.leaf_of_input.append(node)
-        else:
-            leaf = trie._new_node(node, lengths[idx], idx)
-            trie.payloads[leaf].append(payload_ids[idx])
-            trie.leaf_of_input.append(leaf)
-
-    attach(0, 0)
-    for r in range(1, m):
-        h = lcps[r - 1]
-        if h > min(lengths[r - 1], lengths[r]):
-            raise PackedLcsError("adjacent LCP exceeds a string length: unsorted input?")
-        # Walk up the rightmost path to the attach point.
-        node = trie.leaf_of_input[-1]
-        prev = -1
-        while trie.depth[node] > h:
-            prev = node
-            node = trie.parent[node]
-        if trie.depth[node] < h:
-            # Split the edge (node -> prev) at depth h; prev is node's last child.
-            trie.parent.append(node)
-            trie.depth.append(h)
-            trie.children.append([prev])
-            trie.payloads.append([])
-            trie.edge_rep.append(trie.edge_rep[prev])
-            mid = len(trie.parent) - 1
-            trie.children[node][-1] = mid
-            trie.parent[prev] = mid
-            node = mid
-        attach(node, r)
-    # Leaf ranks in input (sorted) order; adjacent-rank LCPs are running
-    # minima of the input lcps between consecutive distinct leaves.
-    pending = None
-    for idx in range(m):
-        leaf = trie.leaf_of_input[idx]
-        if idx > 0:
-            pending = lcps[idx - 1] if pending is None else min(pending, lcps[idx - 1])
-        if leaf not in trie.leaf_rank:
-            trie.leaf_rank[leaf] = len(trie.leaf_at_rank)
-            trie.leaf_at_rank.append(leaf)
-            if len(trie.leaf_at_rank) > 1:
-                trie.adjacent_leaf_lcp.append(pending)
-            pending = None
-    return trie
-
-
-def trie_lca(trie, u, v):
-    return trie.lca(u, v)
+    before, after = lengths[:-1], lengths[1:]
+    if ((h < 0) | (h > np.minimum(before, after)) | ((h == after) & (after < before))).any():
+        raise PackedLcsError("adjacent LCPs do not fit a sorted list: unsorted input?")
+    span = np.int64(lengths.max() + 1 if m else 1)
+    dt = np.int32 if max(2 * m + 2, span) < 2**31 else np.int64
+    b = h.size
+    prev, nxt = _nearest_smaller(h.astype(dt))
+    # Each string's boundary on either side, -1 where there is none.
+    hp = np.concatenate([[-1], h, [-1]])
+    left, right = hp[:m], hp[1 : m + 1]
+    leaf = np.flatnonzero(lengths > np.maximum(np.maximum(left, right), 0))
+    # Node key = first string * span + depth, for the root, every boundary
+    # (depth-0 ones key the root) and every leaf; sorted keys number the nodes.
+    keys = np.concatenate([[0], (prev + 1) * span + h, leaf * span + lengths[leaf]])
+    by_key = np.argsort(keys)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = np.diff(keys[by_key]) != 0
+    node_of = np.empty(keys.size, dtype=dt)
+    node_of[by_key] = np.cumsum(fresh) - 1
+    keys = keys[by_key[fresh]]
+    n = keys.size
+    # Node of boundary q at q + 1, with the root for q = -1 and q = b.
+    bnode = np.append(node_of[: b + 1], 0)
+    near = np.where(left >= right, bnode[:m], bnode[1 : m + 1])
+    parent = np.empty(n, dtype=dt)
+    parent[node_of[1 : b + 1]] = np.where(
+        hp[prev + 1] >= hp[nxt + 1], bnode[prev + 1], bnode[nxt + 1]
+    )
+    leaf_node = node_of[b + 1 :]
+    parent[leaf_node] = near[leaf]
+    parent[0] = -1
+    # A subtree ends at the first node whose first string follows its last.
+    last = np.empty(n, dtype=np.int64)
+    last[node_of[1 : b + 1]] = nxt
+    last[leaf_node] = leaf
+    last[0] = m
+    nodes_before = np.zeros(m + 2, dtype=dt)
+    np.cumsum(np.bincount(keys // span, minlength=m + 1), out=nodes_before[1:])
+    subtree_end = nodes_before[last + 1]
+    near[leaf] = leaf_node
+    leaf_of_input = near
+    first = np.flatnonzero(np.diff(leaf_of_input, prepend=-1))
+    return CompactedTrie(
+        parent,
+        (keys % span).astype(dt),
+        subtree_end,
+        leaf_of_input,
+        leaf_of_input[first],
+        h[first[1:] - 1].astype(dt),
+        np.arange(m) if payload_ids is None else np.asarray(payload_ids),
+    )

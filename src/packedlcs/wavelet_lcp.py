@@ -49,21 +49,11 @@ class SkeletonTree:
 def binarize_skeleton(trie):
     """Prefix-consistent skeleton of a compacted trie (one leaf per distinct
     string; strings that are prefixes of others become pad leaves)."""
-    nc = trie.node_count()
-    weight = [0] * nc
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(trie.children[v])
-    for v in reversed(order):
-        w = 1 if trie.payloads[v] else 0
-        for c in trie.children[v]:
-            w += weight[c]
-        weight[v] = w
+    first, end = trie.rank_spans()
+    weight = (end - first).tolist()  # ranked nodes below each node
     if weight[0] == 0:
         raise PackedLcsError("empty trie has no skeleton")
+    depth_of, rank_of = trie.depth.tolist(), trie.leaf_rank.tolist()
 
     n_symbols = len(trie.leaf_at_rank)
     left, right, vdepth, ndepth, lsym = [], [], [], [], []
@@ -82,7 +72,7 @@ def binarize_skeleton(trie):
 
     def items_of(tn):
         items = [("sub", c) for c in trie.children[tn]]
-        if trie.payloads[tn]:
+        if rank_of[tn] >= 0:
             items.append(("pad", tn))
         return items
 
@@ -100,8 +90,8 @@ def binarize_skeleton(trie):
             group = items_of(ptn)
         if len(group) == 1:
             kind, tn = group[0]
-            sym = trie.leaf_rank[tn]
-            sid = alloc(trie.depth[tn], depth, sym)
+            sym = rank_of[tn]
+            sid = alloc(depth_of[tn], depth, sym)
         else:
             total = sum(item_weight(it) for it in group)
             acc, cut = 0, 1
@@ -110,7 +100,7 @@ def binarize_skeleton(trie):
                 cut = i + 1
                 if 2 * acc >= total:
                     break
-            sid = alloc(trie.depth[ptn], depth)
+            sid = alloc(depth_of[ptn], depth)
             pending.append((sid, 1, group[cut:], ptn, depth + 1))
             pending.append((sid, 0, group[:cut], ptn, depth + 1))
         if parent < 0:
@@ -297,9 +287,7 @@ def solve_alpha_beta(inst, alpha, beta):
         return PairLcpResult(0, None, 0)
     trie1, trie2 = inst.trie1, inst.trie2
     leaves = np.concatenate([inst.p_elems, inst.q_elems])
-    if (np.asarray(trie1.depth)[leaves[:, 0]] > alpha).any() or (
-        np.asarray(trie2.depth)[leaves[:, 1]] > beta
-    ).any():
+    if (trie1.depth[leaves[:, 0]] > alpha).any() or (trie2.depth[leaves[:, 1]] > beta).any():
         raise PackedLcsError(f"family member exceeds the ({alpha},{beta}) bound")
     order = np.argsort(inst.r2, kind="stable")
     r2 = inst.r2[order]

@@ -135,7 +135,7 @@ def test_instance_rejects_components_that_are_not_ranked_leaves():
     inst = instance_from_pairs([("ab", "x"), ("ac", "y")], [("ab", "x")])
     trie1 = inst.trie1
     branch = trie1.parent[int(inst.p_elems[0][0])]  # "a": internal, unranked
-    assert branch > 0 and branch not in trie1.leaf_rank
+    assert branch > 0 and trie1.leaf_rank[branch] == -1
     leaf2 = int(inst.p_elems[0][1])
     with pytest.raises(PackedLcsError, match="ranked"):
         TwoFamiliesInstance(trie1, inst.trie2, [(branch, leaf2)], [(branch, leaf2)])

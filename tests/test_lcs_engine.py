@@ -136,6 +136,25 @@ def test_long_valid_when_at_least_d():
         check_witness(s, t, res)
 
 
+def test_long_exact_where_rank_codes_pass_int32():
+    # The general solver codes a second-component rank times the element
+    # count; with 2^16 binary letters a side that product passes 2^31.
+    from packedlcs.suffix_index import SuffixIndex
+
+    n = 1 << 16
+    _, _, cap = regime_parameters(n, n, 2)
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        s, t = rand_bytes(rng, n, 2), rand_bytes(rng, n, 2)
+        idx = SuffixIndex(np.frombuffer(s + b"\0" + t, dtype=np.uint8))
+        cross = (idx.sa[:-1] < n) != (idx.sa[1:] < n)
+        want = int(idx.lcp[1:][cross].max())
+        assert want >= cap
+        res = lcs_long(s, t, cap)
+        assert res.length == want
+        check_witness(s, t, res)
+
+
 def test_medium_periodic_case():
     # Default tau at this size bounds run periods below 2; the case-II family
     # machinery needs tau >= 6 to see the period-2 run, and is uncapped above.
@@ -298,6 +317,7 @@ def test_suffix_subset_sort_matches_index_path():
         o1, l1 = fragment_order_and_lcps(codes, starts0, lens, idx, suffix_like=True)
         o2, l2 = fragment_order_and_lcps(codes, starts0, lens, None, suffix_like=True)
         # orders may differ only within equal suffixes (identical starts)
+        l1, l2 = l1.tolist(), l2.tolist()
         assert [int(starts0[i]) for i in o1] == [int(starts0[i]) for i in o2] or l1 == l2
         assert l1 == l2
 

@@ -16,6 +16,7 @@ from packedlcs.family_lcp import (
 from packedlcs.lcs_engine import fragment_order_and_lcps, lcs_long, lcs_short
 from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
 from packedlcs.suffix_index import build_compacted_trie
+from packedlcs.text_core import PackedLcsError
 
 
 def _family_strings(draw, max_sigma, min_len, max_len):
@@ -100,7 +101,114 @@ def test_fragment_sort_matches_naive_sort(words, data):
         codes, [a for a, _ in frags], [ln for _, ln in frags]
     )
     assert order.tolist() == want
-    assert lcps == [_lcp(strings[want[r]], strings[want[r + 1]]) for r in range(len(want) - 1)]
+    assert lcps.tolist() == [
+        _lcp(strings[want[r]], strings[want[r + 1]]) for r in range(len(want) - 1)
+    ]
+
+
+# -- compacted tries ---------------------------------------------------------
+
+
+@st.composite
+def sorted_families(draw):
+    """A sorted list of byte strings of one family, with empty strings and
+    duplicates."""
+    one = _family_strings(draw, 3, 0, 8)
+    pool = [one() for _ in range(draw(st.integers(1, 12)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=24))
+    return sorted(pool[i] for i in picks)
+
+
+def _naive_compacted_trie(strings):
+    """{val: parent val} over the nodes of the compacted trie of strings (the
+    root, every string and every branching point), by inserting each string
+    letter by letter into a dict-of-children trie; and the nodes in preorder
+    with children in letter order."""
+    kids = {b"": set()}
+    for x in strings:
+        for i in range(len(x)):
+            kids.setdefault(x[:i], set()).add(x[: i + 1])
+            kids.setdefault(x[: i + 1], set())
+    keep = {b""} | set(strings) | {v for v, c in kids.items() if len(c) > 1}
+    parent, preorder, stack = {}, [], [(b"", None)]
+    while stack:
+        v, up = stack.pop()
+        if v in keep:
+            parent[v], up = up, v
+            preorder.append(v)
+        stack.extend((c, up) for c in sorted(kids[v], reverse=True))
+    return parent, preorder
+
+
+def _trie_of_sorted(strings):
+    lcps = [_lcp(strings[r], strings[r + 1]) for r in range(len(strings) - 1)]
+    return build_compacted_trie([len(x) for x in strings], lcps)
+
+
+@given(sorted_families())
+def test_compacted_trie_matches_naive_trie(strings):
+    trie = _trie_of_sorted(strings)
+    n = trie.node_count()
+    end = trie.subtree_end.tolist()
+    # val(v): a prefix of any input on a node of v's subtree.
+    on = trie.leaf_of_input.tolist()
+    val = [b""] * n
+    for v in range(n):
+        below = [i for i, u in enumerate(on) if v <= u < end[v]]
+        val[v] = strings[below[0]][: int(trie.depth[v])] if below else b""
+    parent, preorder = _naive_compacted_trie(strings)
+    assert val == preorder
+    assert trie.depth.tolist() == [len(x) for x in val]
+    assert [None] + [val[p] for p in trie.parent[1:].tolist()] == [parent[x] for x in val]
+    assert trie.payloads == [[i for i, x in enumerate(strings) if x == v] for v in val]
+    distinct = sorted(set(strings))
+    assert [val[v] for v in trie.leaf_at_rank.tolist()] == distinct
+    assert trie.adjacent_leaf_lcp.tolist() == [
+        _lcp(distinct[r], distinct[r + 1]) for r in range(len(distinct) - 1)
+    ]
+
+
+@given(sorted_families())
+def test_compacted_trie_ids_are_preorder(strings):
+    trie = _trie_of_sorted(strings)
+    parent, end = trie.parent.tolist(), trie.subtree_end.tolist()
+    assert parent[0] == -1
+    assert all(parent[v] < v for v in range(1, len(parent)))
+    for v in range(len(parent)):
+        below = []
+        for u in range(len(parent)):
+            w = u
+            while w > v:
+                w = parent[w]
+            if w == v:
+                below.append(u)
+        assert below == list(range(v, end[v]))
+
+
+def test_compacted_trie_of_long_strings():
+    # Node keys (first string * (longest length + 1) + depth) pass 2^31 here;
+    # lengthening every string past its LCPs keeps the shape.
+    lcps = [1, 2, 1, 0, 3]
+    short = build_compacted_trie([3, 4, 5, 4, 6, 4], lcps)
+    long = build_compacted_trie([(1 << 30) + x for x in (3, 4, 5, 4, 6, 4)], lcps)
+    assert long.parent.tolist() == short.parent.tolist()
+    assert long.subtree_end.tolist() == short.subtree_end.tolist()
+    assert long.leaf_of_input.tolist() == short.leaf_of_input.tolist()
+    is_leaf = short.subtree_end == np.arange(short.node_count()) + 1
+    assert (long.depth - short.depth).tolist() == np.where(is_leaf, 1 << 30, 0).tolist()
+
+
+def test_compacted_trie_rejects_bad_input():
+    with pytest.raises(PackedLcsError, match="len-1"):
+        build_compacted_trie([1, 2, 3], [1])
+    with pytest.raises(PackedLcsError, match="len-1"):
+        build_compacted_trie([1, 2], [0, 0])
+    # "ab" before "a": the LCP fits both lengths, but a proper prefix follows
+    # its extension.
+    with pytest.raises(PackedLcsError, match="unsorted"):
+        build_compacted_trie([2, 1], [1])
+    with pytest.raises(PackedLcsError, match="unsorted"):
+        build_compacted_trie([1, 1], [2])
 
 
 # -- Two String Families LCP -------------------------------------------------
