@@ -14,7 +14,6 @@ from packedlcs import (
     lcs_medium,
     lcs_short,
     regime_parameters,
-    remap_and_pack,
 )
 from packedlcs.oracles import lcs_dp
 
@@ -24,12 +23,13 @@ core = bytes(rng.integers(65, 69, size=40, dtype=np.uint8))  # shared substring
 s = bytes(rng.integers(65, 69, size=300, dtype=np.uint8)) + core
 t = core + bytes(rng.integers(65, 69, size=260, dtype=np.uint8))
 
-packed, alphabet = remap_and_pack(s)
-print(f"|S| = {len(s)}, |T| = {len(t)}, sigma = {alphabet.size}, "
-      f"{packed.bits_per_symbol} bits/symbol, "
-      f"{len(packed.payload)} machine words for S")
+sigma = len(set(s) | set(t))
+bits = max(1, (sigma - 1).bit_length())
+per_word = 64 // bits
+print(f"|S| = {len(s)}, |T| = {len(t)}, sigma = {sigma}, {bits} bits/symbol, "
+      f"{-(-len(s) // per_word)} machine words for S")
 
-tau, m_short, cap = regime_parameters(len(s), len(t), alphabet.size)
+tau, m_short, cap = regime_parameters(len(s), len(t), sigma)
 print(f"regime parameters: tau = {tau}, short window m = {m_short}, cap = {cap}")
 
 res = lcs(s, t)

@@ -1,44 +1,14 @@
-"""packedlcs: longest common substring and k-mismatch LCS over packed strings."""
+"""packedlcs: longest common substring and k-mismatch LCS over packed strings.
 
-from .text_core import (
-    Alphabet,
-    CombinedText,
-    Fragment,
-    PackedLcsError,
-    PackedText,
-    build_combined,
-    combine_pair,
-    make_alphabet,
-    remap_and_pack,
-)
-from .suffix_index import SuffixIndex, build_compacted_trie, build_index
-from .sync_runs import (
-    MisperiodSets,
-    SyncSet,
-    TauRun,
-    build_sync_set,
-    find_tau_runs,
-    misperiods,
-    succ_sync,
-)
-from .family_lcp import (
-    PairLcpResult,
-    TwoFamiliesInstance,
-    instance_from_pairs,
-    max_pair_lcp_general,
-    max_pair_lcp_prefix,
-)
-from .wavelet_lcp import (
-    LcpsList,
-    SkeletonTree,
-    WaveletTree,
-    binarize_skeleton,
-    build_wavelet,
-    propagate_lcps,
-    solve_alpha_beta,
-)
+The package exports the LCS and k-LCS entry points, their regimes and the
+solvers the demos call; every other name stays importable from its module.
+"""
+
+from .text_core import PackedLcsError
+from .sync_runs import build_sync_set, find_tau_runs, misperiods, succ_sync
+from .family_lcp import instance_from_pairs, max_pair_lcp_general, max_pair_lcp_prefix
+from .wavelet_lcp import solve_alpha_beta
 from .lcs_engine import (
-    DCover,
     LcsResult,
     build_d_cover,
     lcs,
@@ -49,9 +19,6 @@ from .lcs_engine import (
 )
 from .klcs_engine import (
     KlcsResult,
-    ModifiedString,
-    build_bicomplete_family,
-    build_complete_family,
     is_maxpair,
     klcs,
     klcs_anchors,
@@ -60,34 +27,11 @@ from .klcs_engine import (
 )
 
 __all__ = [
-    "Alphabet",
-    "CombinedText",
-    "DCover",
-    "Fragment",
     "KlcsResult",
-    "LcpsList",
     "LcsResult",
-    "MisperiodSets",
-    "ModifiedString",
     "PackedLcsError",
-    "PackedText",
-    "PairLcpResult",
-    "SkeletonTree",
-    "SuffixIndex",
-    "SyncSet",
-    "TauRun",
-    "TwoFamiliesInstance",
-    "WaveletTree",
-    "binarize_skeleton",
-    "build_bicomplete_family",
-    "build_combined",
-    "build_compacted_trie",
-    "build_complete_family",
     "build_d_cover",
-    "build_index",
     "build_sync_set",
-    "build_wavelet",
-    "combine_pair",
     "find_tau_runs",
     "instance_from_pairs",
     "is_maxpair",
@@ -98,14 +42,11 @@ __all__ = [
     "lcs_long",
     "lcs_medium",
     "lcs_short",
-    "make_alphabet",
     "max_pair_lcp_general",
     "max_pair_lcp_k",
     "max_pair_lcp_prefix",
     "misperiods",
-    "propagate_lcps",
     "regime_parameters",
-    "remap_and_pack",
     "solve_alpha_beta",
     "succ_sync",
 ]

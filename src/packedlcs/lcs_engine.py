@@ -32,16 +32,11 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .text_core import (
-    CombinedText,
-    PackedLcsError,
-    PackedText,
-    make_alphabet,
-)
+from . import wavelet_lcp
+from .text_core import CombinedText, PackedLcsError, _as_byte_seq, make_alphabet
 from .suffix_index import SuffixIndex, build_compacted_trie
-from .sync_runs import build_sync_set, find_tau_runs
+from .sync_runs import build_sync_set, find_tau_runs, root_key
 from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general, max_pair_lcp_prefix
-from .wavelet_lcp import solve_alpha_beta
 
 
 @dataclass
@@ -188,9 +183,8 @@ class _Ctx:
 
     def __init__(self, s_raw, t_raw):
         alphabet = make_alphabet(s_raw, t_raw)
-        self.alphabet = alphabet
-        self.s_codes = alphabet.encode(_as_bytes(s_raw))
-        self.t_codes = alphabet.encode(_as_bytes(t_raw))
+        self.s_codes = alphabet.encode(_as_byte_seq(s_raw))
+        self.t_codes = alphabet.encode(_as_byte_seq(t_raw))
         self.sigma = max(1, alphabet.size)
         self.ns, self.nt = len(self.s_codes), len(self.t_codes)
         self._combined = None
@@ -200,10 +194,7 @@ class _Ctx:
 
     def combined(self):
         if self._combined is None:
-            bits = max(1, int(np.ceil(np.log2(max(2, self.sigma)))))
-            sp = PackedText(self.s_codes, bits, self.alphabet)
-            tp = PackedText(self.t_codes, bits, self.alphabet)
-            self._combined = CombinedText(sp, tp)
+            self._combined = CombinedText(self.s_codes, self.t_codes)
         return self._combined
 
     def index(self):
@@ -226,12 +217,6 @@ class _Ctx:
         return self._st_index
 
 
-def _as_bytes(raw):
-    if isinstance(raw, str):
-        return raw.encode("utf-8")
-    return bytes(raw)
-
-
 def _bitlen_u64(x):
     """Vectorized bit_length for uint64 arrays."""
     x = x.astype(np.uint64)
@@ -246,31 +231,26 @@ def _bitlen_u64(x):
     return out
 
 
-def fragment_order_and_lcps(codes, starts0, lens, idx=None, suffix_like=False):
-    """Sort fragments (start, length) of one code array lexicographically and
-    return (order, adjacent LCPs of the sorted list) as int arrays.  Equal
-    fragments keep their input order.
+def fragment_order_and_lcps(codes, starts0, lens, idx=None):
+    """Sort suffix components (start, length) of one code array and return
+    (order, adjacent LCPs of the sorted list) as int arrays.
 
-    suffix_like: the fragments run to a below-letter terminator (segment
-    suffixes), so raw suffix order is already fragment order; idx, when
-    given, is a SuffixIndex over codes that supplies that order.  Otherwise
-    the fragments are sorted by packed multi-word keys of their full length
-    (see _sort_packed_fragments).
+    Each component runs from its start to a terminator below every letter
+    (a segment end), so suffix order is already component order.  idx, when
+    given, is a SuffixIndex over codes that supplies that order; otherwise
+    the suffixes are sorted by packed prefix keys with deep ties scanned.
     """
     starts0 = np.asarray(starts0, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    m = len(starts0)
-    if m == 0:
+    if len(starts0) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if suffix_like and idx is None:
-        order, lce = _suffix_subset_order(codes, starts0)
-        return order, np.minimum(lce, np.minimum(lens[order][:-1], lens[order][1:]))
-    if suffix_like:
+    if idx is None:
+        order, lcps = _suffix_subset_order(codes, starts0)
+    else:
         ranks = idx.isa[starts0]
         order = np.argsort(ranks, kind="stable")
         lcps = _subset_adjacent_lce(idx, ranks[order])
-        return order, np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
-    return _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
+    return order, np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
 
 
 def _sort_packed_fragments(codes, starts0, lens, width):
@@ -279,10 +259,10 @@ def _sort_packed_fragments(codes, starts0, lens, width):
 
     A key holds code + 1 per symbol, bits = bit length of (max code + 1)
     wide, 64 // bits symbols per uint64 word, first symbol highest, over
-    ceil(width / (64 // bits)) words.  Slots past a fragment's length stay 0,
-    so a fragment sorts before its extensions.  One stable lexsort (word 0
-    primary) orders the keys, and the first differing word of each adjacent
-    pair gives its count of common leading symbols.
+    ceil(width / (64 // bits)) words.  Slots past a fragment's length are
+    masked to 0, so a fragment sorts before its extensions.  One stable
+    lexsort (word 0 primary) orders the keys, and the first differing word of
+    each adjacent pair gives its count of common leading symbols.
     """
     m, n = len(starts0), len(codes)
     bits = max(1, (int(codes.max()) + 1).bit_length()) if n else 1
@@ -292,8 +272,14 @@ def _sort_packed_fragments(codes, starts0, lens, width):
     src[:n] = codes + 1
     keys = np.zeros((n_words, m), dtype=np.uint64)
     for t in range(width):
-        sym = np.where(t < lens, src[starts0 + t], np.uint64(0))
-        keys[t // per] |= sym << np.uint64(bits * (per - 1 - t % per))
+        keys[t // per] |= src[t:].take(starts0) << np.uint64(bits * (per - 1 - t % per))
+    # keep[v] keeps the top v symbol slots of a word.
+    used = (1 << (per * bits)) - 1
+    keep = np.array(
+        [used ^ ((1 << (bits * (per - v))) - 1) for v in range(per + 1)], dtype=np.uint64
+    )
+    for w in range(n_words):
+        keys[w] &= keep[np.clip(lens - w * per, 0, per)]
     order = np.lexsort(keys[::-1])
     if m < 2:
         return order, np.empty(0, dtype=np.int64)
@@ -401,8 +387,8 @@ def _sorted_trie(order, lens_sorted, lcps):
     return trie, leaf_by_comp
 
 
-def _component_trie(codes, starts0, lens, idx=None, suffix_like=False):
-    order, lcps = fragment_order_and_lcps(codes, starts0, lens, idx, suffix_like)
+def _component_trie(codes, starts0, lens, idx=None):
+    order, lcps = fragment_order_and_lcps(codes, starts0, lens, idx)
     return _sorted_trie(order, np.asarray(lens, dtype=np.int64)[order], lcps)
 
 
@@ -493,7 +479,7 @@ def _lcs_long(ctx, d):
         anchors_s - 1, ctx.ns - anchors_s + 1, anchors_t - 1, ctx.nt - anchors_t + 1,
     ])
     codes = ctx.combined().codes()
-    trie, leaf = _component_trie(codes, starts, lens, idx, suffix_like=True)
+    trie, leaf = _component_trie(codes, starts, lens, idx)
     n_s = len(anchors_s)
     leaf_s, leaf_t = leaf[: 2 * n_s].reshape(2, -1), leaf[2 * n_s :].reshape(2, -1)
     inst = TwoFamiliesInstance(trie, trie, leaf_s.T, leaf_t.T)
@@ -585,108 +571,46 @@ def _lcs_medium(ctx, tau, cap):
     return best
 
 
-_BULK_CASE_ONE = 20000
-
-
-def _medium_case_one_bulk(ctx, anchors, tau, cap):
-    """Vectorized case I: packed window keys, distinct-key trie, array-core
-    wavelet solve.  Requires the tau windows to fit one word."""
-    from .wavelet_lcp import solve_alpha_beta_core
-
-    st = ctx.st_codes()
-    n = len(st)
-    maxc = int(st.max()) if n else 0
-    bits = max(1, int(maxc + 1).bit_length())
-    a_all = np.concatenate([anchors.a1_s, anchors.a1_t]).astype(np.int64)
-    origin = np.concatenate(
-        [np.zeros(len(anchors.a1_s), bool), np.ones(len(anchors.a1_t), bool)]
-    )
-    if not origin.any() or origin.all():
+def _medium_case_one(ctx, anchors, tau, cap):
+    """Case I: one (tau, cap)-family instance over the sync anchors, solved
+    by the wavelet core.  An element's first component is the up to tau
+    symbols before its anchor, read backwards; its second the up to cap
+    symbols from it.  Both families are sorted by packed keys: the distinct
+    first components form trie1 (symbol s = leaf rank s), and the adjacent
+    LCPs of the sorted second components are the root list."""
+    a_s, a_t = anchors.a1_s, anchors.a1_t
+    if not len(a_s) or not len(a_t):
         return None
-    pos0 = np.where(origin, ctx.ns + 1 + a_all - 1, a_all - 1)  # st 0-based
-    slen = np.where(origin, ctx.nt, ctx.ns)
-    l1 = np.minimum(tau, a_all - 1)
-    l2 = np.minimum(cap, slen - a_all + 1)
-    key1 = np.zeros(len(a_all), dtype=np.uint64)
-    for t in range(tau):
-        sym = np.zeros(len(a_all), dtype=np.uint64)
-        mask = t < l1
-        sym[mask] = st[pos0[mask] - 1 - t].astype(np.uint64) + 1
-        key1 = (key1 << np.uint64(bits)) | sym
-    uniq, inv = np.unique(key1, return_inverse=True)
-    # Distinct first components: decode lengths and adjacent LCPs from keys.
-    mask_v = np.uint64((1 << bits) - 1)
-    symmat = np.empty((len(uniq), tau), dtype=np.int64)
-    for t in range(tau):
-        symmat[:, t] = ((uniq >> np.uint64(bits * (tau - 1 - t))) & mask_v).astype(np.int64)
-    lens_u = (symmat != 0).sum(axis=1)  # pad runs are suffixes of the key
-    if len(uniq) > 1:
-        x = uniq[:-1] ^ uniq[1:]
-        lcp_u = (tau * bits - _bitlen_u64(x)) // bits
-        lcp_u = np.minimum(lcp_u, np.minimum(lens_u[:-1], lens_u[1:]))
-    else:
-        lcp_u = np.empty(0, dtype=np.int64)
-    trie1 = build_compacted_trie(lens_u, lcp_u)
-    order, lcps2 = _sort_packed_fragments(st, pos0, l2, cap)
-    root_vals = np.concatenate([[0], lcps2])
-    val, positions = solve_alpha_beta_core(
-        trie1, inv[order], root_vals, origin[order], cap
+    st = ctx.st_codes()
+    anchor = np.concatenate([a_s, a_t])
+    fwd0 = np.concatenate([a_s - 1, ctx.ns + a_t])  # 0-based starts in S$T
+    len1 = np.minimum(tau, anchor - 1)
+    len2 = np.minimum(cap, np.concatenate([ctx.ns - a_s, ctx.nt - a_t]) + 1)
+    order1, lcp1 = _sort_packed_fragments(st[::-1], st.size - fwd0, len1, tau)
+    sorted_len1 = len1[order1]
+    new = np.ones(anchor.size, dtype=bool)
+    new[1:] = (lcp1 < sorted_len1[:-1]) | (lcp1 < sorted_len1[1:])
+    sym = np.empty(anchor.size, dtype=np.int64)
+    sym[order1] = np.cumsum(new) - 1
+    trie1 = build_compacted_trie(sorted_len1[new], lcp1[new[1:]])
+    order2, lcp2 = _sort_packed_fragments(st, fwd0, len2, int(len2.max()))
+    val, positions = wavelet_lcp.solve_alpha_beta_core(
+        trie1, sym[order2], np.concatenate([[0], lcp2]), order2 >= len(a_s), cap
     )
     if positions is None:
         return None
-    ia, ib = (int(order[p]) for p in positions)
-    if origin[ia]:
-        ia, ib = ib, ia
-    a, b = int(a_all[ia]), int(a_all[ib])
-    # Split the value into a genuine backward + forward match.
-    lcp1 = 0
-    pa, pb = int(pos0[ia]), int(pos0[ib])
-    while (
-        lcp1 < min(int(l1[ia]), int(l1[ib]))
-        and st[pa - 1 - lcp1] == st[pb - 1 - lcp1]
-    ):
-        lcp1 += 1
-    left = min(lcp1, val)
-    return LcsResult(val, a - left, b - left, "medium")
-
-
-def _medium_case_one(ctx, anchors, tau, cap):
-    st = ctx.st_codes()
-    maxc = int(st.max()) if len(st) else 0
-    bits = max(1, int(maxc + 1).bit_length())
-    if (
-        len(anchors.a1_s) + len(anchors.a1_t) >= _BULK_CASE_ONE
-        and tau * bits <= 62
-        and cap * bits <= 62
-    ):
-        return _medium_case_one_bulk(ctx, anchors, tau, cap)
-    a_s, a_t = (np.asarray(a, dtype=np.int64) for a in (anchors.a1_s, anchors.a1_t))
-    if not a_s.size or not a_t.size:
-        return None
-    # Elements: S's anchors, then T's.  The first component is the window of
-    # up to tau symbols before the anchor, read backwards; the second the
-    # window of up to cap symbols from it.
-    anchor = np.concatenate([a_s, a_t])
-    fwd0 = np.concatenate([a_s - 1, ctx.ns + a_t])  # 0-based starts in S$T
-    rest = np.concatenate([ctx.ns - a_s, ctx.nt - a_t]) + 1
-    trie1, leaf1 = _component_trie(st[::-1], len(st) - fwd0, np.minimum(tau, anchor - 1))
-    trie2, leaf2 = _component_trie(st, fwd0, np.minimum(cap, rest))
-    elems = np.stack([leaf1, leaf2], axis=1)
-    inst = TwoFamiliesInstance(trie1, trie2, elems[: a_s.size], elems[a_s.size :])
-    res = solve_alpha_beta(inst, tau, cap)
-    if res.witness is None:
-        return None
-    pi, qi = res.witness
-    left = inst.first_lcp(pi, qi)
-    return LcsResult(res.value, int(a_s[pi]) - left, int(a_t[qi]) - left, "medium")
+    # The pair differs in origin, so the smaller index is S's anchor.
+    i, j = sorted(int(order2[p]) for p in positions)
+    leaf = trie1.leaf_at_rank
+    left = min(trie1.lca_depth(leaf[sym[i]], leaf[sym[j]]), val)
+    return LcsResult(val, int(anchor[i]) - left, int(anchor[j]) - left, "medium")
 
 
 def _medium_case_two(ctx, anchors):
     st = ctx.st_codes()
     groups = {}
     for which, pos, run in anchors.a2:
-        key = (run.period, tuple(int(c) for c in st[run.lyndon_start - 1 : run.lyndon_start - 1 + run.period]))
-        groups.setdefault(key, []).append((which, pos, run))
+        groups.setdefault(root_key(st, run), []).append((which, pos, run))
     return _solve_prefix_groups(ctx, groups, case="II")
 
 
@@ -694,12 +618,7 @@ def _medium_case_three(ctx, anchors):
     st = ctx.st_codes()
     groups = {}
     for which, pos, run in anchors.a3:
-        key = (
-            run.period,
-            tuple(int(c) for c in st[run.lyndon_start - 1 : run.lyndon_start - 1 + run.period]),
-            run.tail,
-        )
-        groups.setdefault(key, []).append((which, pos, run))
+        groups.setdefault(root_key(st, run) + (run.tail,), []).append((which, pos, run))
     return _solve_prefix_groups(ctx, groups, case="III")
 
 
@@ -746,7 +665,7 @@ def _solve_prefix_groups(ctx, groups, case):
             if st_idx is None and len(st) <= (1 << 17):
                 st_idx = ctx.st_index()
             trie2, leaf2 = _component_trie(
-                st, [r[4] for r in recs], [r[3] for r in recs], st_idx, suffix_like=True
+                st, [r[4] for r in recs], [r[3] for r in recs], st_idx
             )
         in_s = np.array([r[0] == "S" for r in recs])
         p_ids, q_ids = np.flatnonzero(in_s), np.flatnonzero(~in_s)

@@ -1,4 +1,4 @@
-"""Suffix-array backed LCE queries, fragment comparison, and compacted tries.
+"""Suffix-array backed LCE queries and compacted tries.
 
 The suffix array is built by numpy prefix doubling (one int64 key sort per
 round, early exit once ranks are distinct), the LCP array is read from that
@@ -115,8 +115,8 @@ class SparseRmq:
 class SuffixIndex:
     """Suffix array + inverse + LCP (+ RMQ on first use) over a code sequence.
 
-    Exposes O(1) longest-common-extension queries between suffixes and
-    fragment-level LCP/ordering for fragments of a combined text.
+    Exposes O(1) longest-common-extension queries between suffixes, one at
+    a time (lce) or batched over position arrays (lce_bulk).
     """
 
     def __init__(self, codes, keep_rank_tables=False):
@@ -133,8 +133,6 @@ class SuffixIndex:
     def rmq(self):
         """Range minima over the LCP array, built for the first lce call."""
         return SparseRmq(self.lcp)
-
-    # -- suffix-level queries (1-based positions) --
 
     def lce(self, i, j):
         """LCP of suffixes starting at 1-based positions i and j."""
@@ -173,45 +171,6 @@ class SuffixIndex:
                 i[hit] += step
                 j[hit] += step
         return res
-
-    # -- fragment-level queries --
-
-    def _resolve(self, combined, frag):
-        lo, hi = combined.to_forward_range(frag)
-        length = hi - lo + 1
-        seg = frag.text_id if not frag.reversed else (
-            "S_rev" if frag.text_id == "S" else "T_rev"
-        )
-        seg_end = combined.offsets[seg] + combined.seg_len[seg] - 1
-        if hi > seg_end:
-            raise PackedLcsError("fragment crosses a sentinel")
-        return lo, length
-
-    def lce_fragments(self, combined, a, b):
-        """min(LCP of underlying suffixes, |a|, |b|) for two fragments."""
-        lo_a, len_a = self._resolve(combined, a)
-        lo_b, len_b = self._resolve(combined, b)
-        if len_a == 0 or len_b == 0:
-            return 0
-        return min(self.lce(lo_a, lo_b), len_a, len_b)
-
-    def compare_fragments(self, combined, a, b):
-        """-1/0/1 lexicographic order of the denoted strings."""
-        lo_a, len_a = self._resolve(combined, a)
-        lo_b, len_b = self._resolve(combined, b)
-        common = 0
-        if len_a and len_b:
-            common = min(self.lce(lo_a, lo_b), len_a, len_b)
-        if common == min(len_a, len_b):
-            return (len_a > len_b) - (len_a < len_b)
-        ca = int(self.codes[lo_a - 1 + common])
-        cb = int(self.codes[lo_b - 1 + common])
-        return (ca > cb) - (ca < cb)
-
-
-def build_index(combined, keep_rank_tables=False):
-    """SuffixIndex over a CombinedText's code sequence."""
-    return SuffixIndex(combined.codes(), keep_rank_tables=keep_rank_tables)
 
 
 class CompactedTrie:

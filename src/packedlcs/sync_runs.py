@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text_core import PackedLcsError, PackedText
+from .text_core import PackedLcsError
 from .suffix_index import suffix_array, kasai_lcp
 
 _HUGE = np.int64(2**62)
 
 
 def _as_codes(text):
-    if isinstance(text, PackedText):
-        return text.to_codes()
     return np.asarray(text, dtype=np.int64)
 
 
@@ -237,15 +235,7 @@ def root_key(codes, run):
     """Canonical Lyndon-root identity of a run (period, root code tuple)."""
     codes = _as_codes(codes)
     ls = run.lyndon_start - 1
-    return (run.period, tuple(int(c) for c in codes[ls : ls + run.period]))
-
-
-def group_runs_by_root_and_tail(codes, runs):
-    groups = {}
-    for run in runs:
-        key = root_key(codes, run) + (run.tail,)
-        groups.setdefault(key, []).append(run)
-    return groups
+    return (run.period, tuple(codes[ls : ls + run.period].tolist()))
 
 
 def misperiods(text, i, j, k):

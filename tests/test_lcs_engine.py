@@ -274,34 +274,6 @@ def test_lcs_unary():
     assert res2.length == 0
 
 
-def test_medium_bulk_path_agrees_with_object_path():
-    import packedlcs.lcs_engine as le
-
-    rng = np.random.default_rng(57)
-    old = le._BULK_CASE_ONE
-    try:
-        for _ in range(25):
-            n = int(rng.integers(300, 1500))
-            sigma = int(rng.integers(2, 5))
-            s = rand_bytes(rng, n, sigma)
-            t = rand_bytes(rng, int(rng.integers(300, 1500)), sigma)
-            ctx = le._Ctx(s, t)
-            tau, _, cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
-            an = le._build_anchors_medium(ctx, tau)
-            le._BULK_CASE_ONE = 10**9
-            obj = le._medium_case_one(ctx, an, tau, cap)
-            le._BULK_CASE_ONE = 0
-            blk = le._medium_case_one(ctx, an, tau, cap)
-            if obj is None or blk is None:
-                assert obj is None and blk is None
-                continue
-            assert obj.length == blk.length, (s, t)
-            for r in (obj, blk):
-                check_witness(s, t, r)
-    finally:
-        le._BULK_CASE_ONE = old
-
-
 def test_suffix_subset_sort_matches_index_path():
     from packedlcs.lcs_engine import fragment_order_and_lcps
     from packedlcs.suffix_index import SuffixIndex
@@ -314,8 +286,8 @@ def test_suffix_subset_sort_matches_index_path():
         starts0 = rng.integers(0, n, size=m).astype(np.int64)
         lens = (n - starts0).astype(np.int64)
         idx = SuffixIndex(codes)
-        o1, l1 = fragment_order_and_lcps(codes, starts0, lens, idx, suffix_like=True)
-        o2, l2 = fragment_order_and_lcps(codes, starts0, lens, None, suffix_like=True)
+        o1, l1 = fragment_order_and_lcps(codes, starts0, lens, idx)
+        o2, l2 = fragment_order_and_lcps(codes, starts0, lens)
         # orders may differ only within equal suffixes (identical starts)
         l1, l2 = l1.tolist(), l2.tolist()
         assert [int(starts0[i]) for i in o1] == [int(starts0[i]) for i in o2] or l1 == l2

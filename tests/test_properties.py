@@ -6,14 +6,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from packedlcs.family_lcp import (
     TwoFamiliesInstance,
     instance_from_pairs,
     max_pair_lcp_general,
 )
-from packedlcs.lcs_engine import fragment_order_and_lcps, lcs_long, lcs_short
+from packedlcs.lcs_engine import (
+    _Ctx,
+    _build_anchors_medium,
+    _medium_case_one,
+    _sort_packed_fragments,
+    lcs_long,
+    lcs_short,
+)
 from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
 from packedlcs.suffix_index import build_compacted_trie
 from packedlcs.text_core import PackedLcsError
@@ -97,13 +104,52 @@ def test_fragment_sort_matches_naive_sort(words, data):
     codes, frags = data.draw(fragment_sets(8 * words))
     strings = [bytes(codes[a : a + ln].tolist()) for a, ln in frags]
     want = sorted(range(len(frags)), key=lambda i: strings[i])
-    order, lcps = fragment_order_and_lcps(
-        codes, [a for a, _ in frags], [ln for _, ln in frags]
+    order, lcps = _sort_packed_fragments(
+        codes,
+        np.array([a for a, _ in frags]),
+        np.array([ln for _, ln in frags]),
+        8 * words,
     )
     assert order.tolist() == want
     assert lcps.tolist() == [
         _lcp(strings[want[r]], strings[want[r + 1]]) for r in range(len(want) - 1)
     ]
+
+
+@st.composite
+def medium_pairs(draw):
+    """Two byte strings of one family over up to 64 letters (7-bit key
+    symbols, so tau or cap above 9 takes more than one key word), with tau
+    and cap for medium case I.  Run detection needs tau >= 3, and the medium
+    regime runs only for tau <= |S$T| / 2."""
+    one = _family_strings(draw, 64, 3, 120)
+    return one(), one(), draw(st.integers(3, 20)), draw(st.integers(1, 30))
+
+
+# Unary and periodic pairs, and short T segments, leave one side without
+# anchors; more examples keep enough two-sided instances.
+@settings(max_examples=400)
+@given(medium_pairs())
+def test_medium_case_one_matches_brute_family(case):
+    s, t, tau, cap = case
+    tau = min(tau, (len(s) + len(t) + 1) // 2)
+    ctx = _Ctx(s, t)
+    anchors = _build_anchors_medium(ctx, tau)
+    pairs = [(a, b) for a in anchors.a1_s.tolist() for b in anchors.a1_t.tolist()]
+    res = _medium_case_one(ctx, anchors, tau, cap)
+    if not pairs:
+        assert res is None
+        return
+    # The (tau, cap)-family value over the same anchors: up to tau symbols
+    # before both anchors (not past a string start) plus up to cap from them.
+    want = max(
+        min(_lcp(s[: a - 1][::-1], t[: b - 1][::-1]), tau)
+        + min(_lcp(s[a - 1 :], t[b - 1 :]), cap)
+        for a, b in pairs
+    )
+    assert res.length == want
+    assert res.pos_s >= 1 and res.pos_t >= 1
+    assert _witnessed(s, t, res)
 
 
 # -- compacted tries ---------------------------------------------------------

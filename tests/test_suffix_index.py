@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from packedlcs.text_core import Fragment, PackedLcsError, combine_pair
+from packedlcs.text_core import CombinedText, PackedLcsError, make_alphabet
 from packedlcs.suffix_index import (
     SuffixIndex,
     build_compacted_trie,
-    build_index,
     kasai_lcp,
     suffix_array,
 )
@@ -28,6 +27,13 @@ def codes_of(s):
     return np.array([ord(c) for c in s], dtype=np.int64)
 
 
+def combined_index(s, t):
+    """CombinedText of S and T and a SuffixIndex over its codes."""
+    alpha = make_alphabet(s, t)
+    comb = CombinedText(alpha.encode(s), alpha.encode(t))
+    return comb, SuffixIndex(comb.codes())
+
+
 def test_suffix_array_random():
     rng = np.random.default_rng(10)
     for _ in range(80):
@@ -48,8 +54,7 @@ def test_lcp_array_banana():
 
 def test_lce_identity_and_scan():
     # "abaab" embedded as S in a combined text; lce is over the combined codes.
-    comb = combine_pair("abaab", "z")
-    idx = build_index(comb)
+    _, idx = combined_index(b"abaab", b"z")
     n = idx.n
     for i in range(1, n + 1):
         assert idx.lce(i, i) == n - i + 1
@@ -82,73 +87,55 @@ def test_lce_bulk_matches_scalar():
         assert g == idx.lce(int(a), int(b))
 
 
-def test_lce_fragments_examples():
-    comb = combine_pair("banana", "ananas")
-    idx = build_index(comb)
-    a = Fragment("S", 2, 6)  # "anana"
-    b = Fragment("T", 1, 4)  # "anan"
-    assert idx.lce_fragments(comb, a, b) == 4
-    assert idx.lce_fragments(comb, b, a) == 4
-    assert idx.lce_fragments(comb, a, a) == 5
-
-
-def test_lce_fragments_reversed_random():
+def test_lce_reversed_segments_random():
+    # The long regime reads a reversed prefix S[1..i-1]^R as the suffix of
+    # the combined text that starts in S^R at offset + ns - i + 1; its LCE
+    # with T's stops at the segment sentinels.
     rng = np.random.default_rng(14)
     for _ in range(50):
         ns, nt = int(rng.integers(2, 40)), int(rng.integers(2, 40))
         s = bytes(rng.integers(97, 100, size=ns, dtype=np.uint8))
         t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
-        comb = combine_pair(s, t)
-        idx = build_index(comb)
+        comb, idx = combined_index(s, t)
+        off = comb.offsets
         for _ in range(10):
-            i = int(rng.integers(2, ns + 1))
-            j = int(rng.integers(2, nt + 1))
-            fa = Fragment("S", 1, i - 1, reversed=True)
-            fb = Fragment("T", 1, j - 1, reversed=True)
+            i = int(rng.integers(1, ns + 1))
+            j = int(rng.integers(1, nt + 1))
             want = naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1])
-            assert idx.lce_fragments(comb, fa, fb) == want
+            got = idx.lce(off["S_rev"] + ns - i + 1, off["T_rev"] + nt - j + 1)
+            assert got == want
 
 
-def test_compare_fragments():
-    comb = combine_pair("abxab", "ab")
-    idx = build_index(comb)
-    ab_s = Fragment("S", 1, 2)
-    abx = Fragment("S", 1, 3)
-    ab_t = Fragment("T", 1, 2)
-    assert idx.compare_fragments(comb, ab_s, abx) == -1
-    assert idx.compare_fragments(comb, abx, ab_s) == 1
-    assert idx.compare_fragments(comb, ab_s, ab_t) == 0
-
-
-def test_compare_fragments_random_oracle():
+def test_segment_suffix_order_random():
+    # Every segment suffix of the combined text runs to a sentinel below
+    # every letter, so suffix rank orders the strings the suffixes spell up
+    # to their sentinels (the long regime sorts its components this way).
     rng = np.random.default_rng(15)
     for _ in range(40):
         ns, nt = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         s = bytes(rng.integers(97, 100, size=ns, dtype=np.uint8))
         t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
-        comb = combine_pair(s, t)
-        idx = build_index(comb)
+        comb, idx = combined_index(s, t)
+        segs = [("S", s), ("S_rev", s[::-1]), ("T", t), ("T_rev", t[::-1])]
+        picks = []
         for _ in range(25):
-            which_a, raw_a, na = ("S", s, ns) if rng.random() < 0.5 else ("T", t, nt)
-            which_b, raw_b, nb = ("S", s, ns) if rng.random() < 0.5 else ("T", t, nt)
-            ia = int(rng.integers(1, na + 1)); ja = int(rng.integers(ia - 1, na + 1))
-            ib = int(rng.integers(1, nb + 1)); jb = int(rng.integers(ib - 1, nb + 1))
-            ra = bool(rng.random() < 0.5); rb = bool(rng.random() < 0.5)
-            fa = Fragment(which_a, ia, ja, reversed=ra)
-            fb = Fragment(which_b, ib, jb, reversed=rb)
-            sa_ = raw_a[ia - 1 : ja][::-1] if ra else raw_a[ia - 1 : ja]
-            sb_ = raw_b[ib - 1 : jb][::-1] if rb else raw_b[ib - 1 : jb]
-            want = (sa_ > sb_) - (sa_ < sb_)
-            assert idx.compare_fragments(comb, fa, fb) == want
+            seg, raw = segs[int(rng.integers(0, 4))]
+            k = int(rng.integers(0, len(raw) + 1))
+            picks.append((comb.offsets[seg] + k, raw[k:]))
+        picks.sort(key=lambda p: int(idx.isa[p[0] - 1]))
+        spelled = [x for _, x in picks]
+        assert spelled == sorted(spelled)
+        for (i, a), (j, b) in zip(picks, picks[1:]):
+            want = len(a) if i == j else naive_lcp(a, b)
+            assert min(idx.lce(i, j), len(a), len(b)) == want
 
 
 def test_lcp_min_composition_property():
     rng = np.random.default_rng(16)
-    comb = combine_pair(
+    _, idx = combined_index(
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
     )
-    idx = build_index(comb)
     n = idx.n
     for _ in range(300):
         ranks = sorted(rng.integers(0, n, size=3))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from packedlcs.text_core import PackedLcsError, remap_and_pack
+from packedlcs.text_core import PackedLcsError
 from packedlcs.sync_runs import (
     MisperiodSets,
     SyncSet,
     build_sync_set,
     find_tau_runs,
-    group_runs_by_root_and_tail,
     misperiods,
+    root_key,
     succ_sync,
     window_ranks,
 )
@@ -247,12 +247,13 @@ def test_misperiods_vs_naive():
         assert got == MisperiodSets(want_left, want_right)
 
 
-def test_group_runs_by_root_and_tail():
-    c = codes_of("ab" * 8 + "c" + "ba" * 8)
-    runs = find_tau_runs(c, 4)
-    groups = group_runs_by_root_and_tail(c, runs)
-    # Both runs share the Lyndon root "ab"; tails may or may not split them,
-    # but every group member must agree on (root, tail).
-    for (p, root, tail), members in groups.items():
-        for r in members:
-            assert r.period == p and r.tail == tail
+def test_root_key_groups_runs_by_root_and_tail():
+    c = codes_of("ab" * 10 + "c" + "ba" * 10)
+    runs = find_tau_runs(c, 6)
+    assert len(runs) == 2
+    # Both runs share the Lyndon root "ab" whatever their phase.
+    root = (2, (ord("a"), ord("b")))
+    assert [root_key(c, r) for r in runs] == [root, root]
+    # Their tails differ, so the (root, tail) key of the medium regime's
+    # case III keeps them apart.
+    assert len({root_key(c, r) + (r.tail,) for r in runs}) == 2

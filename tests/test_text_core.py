@@ -3,33 +3,28 @@ import pytest
 
 from packedlcs.text_core import (
     CombinedText,
-    Fragment,
     PackedLcsError,
-    combine_pair,
     make_alphabet,
     read_text_file,
-    remap_and_pack,
 )
 
 
 def test_remap_dense_dna():
-    packed, alpha = remap_and_pack("ACGT")
+    alpha = make_alphabet("ACGT")
     assert alpha.size == 4
-    assert packed.bits_per_symbol == 2
-    assert list(packed.to_codes()) == [0, 1, 2, 3]
+    assert list(alpha.encode(b"ACGT")) == [0, 1, 2, 3]
 
 
 def test_remap_unary():
-    packed, alpha = remap_and_pack("aaaa")
+    alpha = make_alphabet("aaaa")
     assert alpha.size == 1
-    assert packed.bits_per_symbol == 1
-    assert list(packed.to_codes()) == [0, 0, 0, 0]
+    assert list(alpha.encode(b"aaaa")) == [0, 0, 0, 0]
 
 
 def test_round_trip_banana():
-    packed, alpha = remap_and_pack("banana")
+    alpha = make_alphabet("banana")
     assert alpha.size == 3
-    assert packed.to_bytes() == b"banana"
+    assert alpha.decode(alpha.encode(b"banana")) == b"banana"
 
 
 def test_round_trip_random():
@@ -38,8 +33,8 @@ def test_round_trip_random():
         n = int(rng.integers(1, 300))
         sigma = int(rng.integers(1, 30))
         raw = bytes(rng.integers(97, 97 + sigma, size=n, dtype=np.uint8))
-        packed, _ = remap_and_pack(raw)
-        assert packed.to_bytes() == raw
+        alpha = make_alphabet(raw)
+        assert alpha.decode(alpha.encode(raw)) == raw
 
 
 def test_encode_matches_forward_map_all_bytes():
@@ -57,108 +52,54 @@ def test_encode_rejects_byte_outside_alphabet():
         alpha.encode(b"acgtnacgx")
 
 
-def test_bits_override_too_small():
-    with pytest.raises(PackedLcsError):
-        remap_and_pack("ACGTN", bits_override=2)
-
-
-def test_get_examples():
-    packed, _ = remap_and_pack("abc")
-    assert packed.get(2) == 1
-    packed, _ = remap_and_pack("aaaa")
-    assert packed.get(4) == 0
-    with pytest.raises(PackedLcsError):
-        packed.get(5)
-    with pytest.raises(PackedLcsError):
-        packed.get(0)
-
-
-def test_get_matches_bytes_random():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        n = int(rng.integers(1, 200))
-        raw = bytes(rng.integers(97, 123, size=n, dtype=np.uint8))
-        packed, alpha = remap_and_pack(raw)
-        for i in rng.integers(1, n + 1, size=10):
-            assert alpha.inverse_map[packed.get(int(i))] == raw[int(i) - 1]
-
-
-def test_read_block_periodic():
-    packed, _ = remap_and_pack("abab")
-    assert packed.read_block(1, 2) == packed.read_block(3, 2)
-
-
-def test_read_block_vs_get_random():
-    rng = np.random.default_rng(2)
-    packed, _ = remap_and_pack(bytes(rng.integers(97, 105, size=500, dtype=np.uint8)))
-    b = packed.bits_per_symbol
-    cap = 64 // b
-    for _ in range(1000):
-        i = int(rng.integers(1, packed.length + 1))
-        count = int(rng.integers(0, min(cap, packed.length - i + 1) + 1))
-        want = 0
-        for t in range(count):
-            want = (want << b) | packed.get(i + t)
-        assert packed.read_block(i, count) == want
-
-
-def test_read_block_rejects_oversized():
-    packed, _ = remap_and_pack("abcdefgh")
-    with pytest.raises(PackedLcsError):
-        packed.read_block(1, 64 // packed.bits_per_symbol + 1)
+def _combined(s, t):
+    alpha = make_alphabet(s, t)
+    return alpha, CombinedText(alpha.encode(s), alpha.encode(t))
 
 
 def test_combined_layout():
-    comb = combine_pair("ab", "c")
-    # S #1 S^R #2 T #3 T^R #4
+    _, comb = _combined(b"ab", b"c")
+    # S #1 S^R #2 T #3 T^R #4, letters shifted above the sentinels 0..3.
     assert len(comb) == 2 * 2 + 2 * 1 + 4
-    codes = comb.codes()
-    sentinels = [c for c in codes if c < comb.letter_offset]
-    assert sorted(sentinels) == [0, 1, 2, 3]
-    assert all(codes[codes >= comb.letter_offset] >= 4)
+    assert comb.codes().tolist() == [4, 5, 0, 5, 4, 1, 6, 2, 6, 3]
+    assert comb.offsets == {"S": 1, "S_rev": 4, "T": 7, "T_rev": 9}
 
 
 def test_combined_reversal_segment():
-    comb = combine_pair("abc", "zz")
-    rev = comb.extract_codes(Fragment("S", 1, 3, reversed=True))
-    fwd = comb.extract_codes(Fragment("S", 1, 3))
+    alpha, comb = _combined(b"abc", b"zz")
+    codes, off = comb.codes(), comb.offsets
+    fwd = codes[off["S"] - 1 : off["S"] + 2]
+    rev = codes[off["S_rev"] - 1 : off["S_rev"] + 2]
     assert list(rev) == list(fwd)[::-1]
-    assert comb.alphabet.decode(comb.letter_codes(Fragment("S", 1, 3, reversed=True))) == b"cba"
+    assert alpha.decode(rev - 4) == b"cba"
 
 
 def test_fragment_translation_random():
+    # Every segment, read at its offset, spells S, S^R, T or T^R and ends at
+    # its own sentinel.
     rng = np.random.default_rng(3)
     for _ in range(200):
-        ns, nt = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        ns, nt = int(rng.integers(0, 40)), int(rng.integers(0, 40))
         s = bytes(rng.integers(97, 101, size=ns, dtype=np.uint8))
         t = bytes(rng.integers(97, 101, size=nt, dtype=np.uint8))
-        comb = combine_pair(s, t)
-        for _ in range(5):
-            which, raw = ("S", s) if rng.random() < 0.5 else ("T", t)
-            n = len(raw)
-            i = int(rng.integers(1, n + 1))
-            j = int(rng.integers(i - 1, n + 1))
-            rev = bool(rng.random() < 0.5)
-            frag = Fragment(which, i, j, reversed=rev)
-            got = comb.alphabet.decode(comb.letter_codes(frag))
-            want = raw[i - 1 : j]
-            if rev:
-                want = want[::-1]
-            assert got == want
-
-
-def test_combined_requires_joint_alphabet():
-    a, _ = remap_and_pack("ab")
-    b, _ = remap_and_pack("cd")
-    with pytest.raises(PackedLcsError):
-        CombinedText(a, b)
+        alpha, comb = _combined(s, t)
+        codes, off = comb.codes(), comb.offsets
+        assert len(comb) == 2 * (ns + nt) + 4
+        for sentinel, (seg, raw) in enumerate(
+            (("S", s), ("S_rev", s[::-1]), ("T", t), ("T_rev", t[::-1]))
+        ):
+            lo = off[seg] - 1
+            assert alpha.decode(codes[lo : lo + len(raw)] - 4) == raw
+            assert codes[lo + len(raw)] == sentinel
 
 
 def test_sentinels_below_letters_everywhere():
-    comb = combine_pair("ba", "ab")
+    _, comb = _combined(b"ba", b"ab")
     codes = comb.codes()
-    letters = codes[codes >= comb.letter_offset]
-    assert letters.min() > 3
+    assert sorted(codes[codes < 4].tolist()) == [0, 1, 2, 3]
+    assert codes[codes >= 4].min() > 3
+    # The trailing sentinel is the unique minimal suffix.
+    assert codes[-1] == 3 and (codes[:-1] != 3).all()
 
 
 def test_fasta_reader(tmp_path):
