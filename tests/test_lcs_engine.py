@@ -3,7 +3,11 @@ import pytest
 
 from packedlcs.lcs_engine import (
     _Ctx,
+    _bitlen_u64,
+    _build_anchors_medium,
+    _medium_case_one,
     _solve_prefix_groups,
+    _sort_packed_fragments,
     build_d_cover,
     lcs,
     lcs_long,
@@ -272,6 +276,127 @@ def test_lcs_unary():
     assert res.length == 31
     res2 = lcs("a" * 5, "b" * 9)
     assert res2.length == 0
+
+
+def _brute_case_one(s, t, anchors, tau, cap):
+    """The (tau, cap)-family value over the case-I anchors, or None."""
+    def lcp(a, b):
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        return k
+
+    best = None
+    for a in anchors.a1_s.tolist():
+        for b in anchors.a1_t.tolist():
+            v = min(lcp(s[: a - 1][::-1], t[: b - 1][::-1]), tau) + min(
+                lcp(s[a - 1 :], t[b - 1 :]), cap
+            )
+            best = v if best is None else max(best, v)
+    return best
+
+
+def _check_case_one(s, t, tau, cap):
+    ctx = _Ctx(s, t)
+    anchors = _build_anchors_medium(ctx, tau)
+    want = _brute_case_one(s, t, anchors, tau, cap)
+    res = _medium_case_one(ctx, anchors, tau, cap)
+    if want is None:
+        assert res is None
+        return
+    assert res.length == want, (s, t, tau, cap)
+    check_witness(s, t, res)
+
+
+def test_medium_case_one_multiword_keys():
+    # 40 letters take 6-bit key symbols, 10 to a word: tau = 25 and cap = 30
+    # need three words per key on both sides.
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        n = int(rng.integers(150, 300))
+        s, t = planted_pair(rng, n, 40, 80 if trial % 2 else 0)
+        _check_case_one(s, t, 25, 30)
+
+
+def test_medium_case_one_periodic_duplicate_windows():
+    # Near-periodic strings repeat most backward windows, so trie 1 is
+    # built over far fewer distinct strings than there are anchors.
+    rng = np.random.default_rng(62)
+    for _ in range(12):
+        root = rand_bytes(rng, int(rng.integers(4, 9)), 3)
+        s = bytearray(root * 30)
+        t = bytearray(root * 25)
+        for buf in (s, t):
+            for i in rng.integers(0, len(buf), size=int(rng.integers(1, 6))):
+                buf[int(i)] = int(rng.integers(97, 101))
+        _check_case_one(bytes(s), bytes(t), int(rng.integers(3, 12)), int(rng.integers(5, 40)))
+
+
+def test_bitlen_u64_matches_int_bit_length():
+    vals = [0, 1, 2, 3, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, 1 << 32, (1 << 32) + 1]
+    vals += [(1 << k) - 1 for k in range(33, 65)] + [1 << k for k in range(33, 64)]
+    rng = np.random.default_rng(63)
+    vals += [int(v) for v in rng.integers(0, 1 << 63, size=200, dtype=np.uint64)]
+    got = _bitlen_u64(np.array(vals, dtype=np.uint64))
+    assert got.tolist() == [v.bit_length() for v in vals]
+
+
+def _naive_fragment_sort(codes, starts0, lens):
+    strings = [tuple(codes[a : a + ln].tolist()) for a, ln in zip(starts0, lens)]
+    order = sorted(range(len(strings)), key=lambda i: strings[i])
+    lcps = []
+    for i, j in zip(order, order[1:]):
+        a, b = strings[i], strings[j]
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        lcps.append(k)
+    return order, lcps
+
+
+def test_packed_sort_lcp_at_word_boundaries():
+    # Codes 0..2 take 2-bit symbols, 32 to a word.  Fragments that first
+    # differ at symbol 31, 32 or 33 straddle the boundary of words 0 and 1.
+    per = 32
+    base = [1, 0, 2] * 40
+    codes = []
+    starts, lens = [], []
+    for d in (per - 1, per, per + 1, 2 * per):
+        for tail in (0, 2):
+            frag = base[:d] + [tail] + base[d + 1 : 3 * per]
+            starts.append(len(codes))
+            lens.append(len(frag))
+            codes += frag
+    # A prefix ending exactly at the word boundary, and an empty fragment.
+    starts += [0, 0]
+    lens += [per, 0]
+    codes = np.array(codes, dtype=np.int64)
+    starts, lens = np.array(starts), np.array(lens)
+    order, lcps = _sort_packed_fragments(codes, starts, lens, 3 * per)
+    want_order, want_lcps = _naive_fragment_sort(codes, starts, lens)
+    strings = [tuple(codes[a : a + ln].tolist()) for a, ln in zip(starts, lens)]
+    assert [strings[i] for i in order.tolist()] == [strings[i] for i in want_order]
+    assert lcps.tolist() == want_lcps
+
+
+def test_packed_sort_byte_alphabet():
+    # Codes up to 255 take 9-bit symbols (code + 1 = 256), 7 to a word, and
+    # fragments run past the end of the codes.
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        n = int(rng.integers(20, 200))
+        codes = rng.integers(0, 256, size=n).astype(np.int64)
+        codes[rng.integers(0, n, size=n // 2)] = codes[0]  # repeated symbols
+        codes[int(rng.integers(0, n))] = 255
+        m = int(rng.integers(2, 40))
+        width = int(rng.integers(1, 30))
+        starts = rng.integers(0, n, size=m).astype(np.int64)
+        lens = np.minimum(rng.integers(0, width + 1, size=m), n - starts)
+        order, lcps = _sort_packed_fragments(codes, starts, lens, width)
+        want_order, want_lcps = _naive_fragment_sort(codes, starts, lens)
+        strings = [tuple(codes[a : a + ln].tolist()) for a, ln in zip(starts, lens)]
+        assert [strings[i] for i in order.tolist()] == [strings[i] for i in want_order]
+        assert lcps.tolist() == want_lcps
 
 
 def test_suffix_subset_sort_matches_index_path():

@@ -87,6 +87,32 @@ def test_lce_bulk_matches_scalar():
         assert g == idx.lce(int(a), int(b))
 
 
+def test_lce_examples():
+    comb, idx = combined_index(b"banana", b"ananas")
+    s2 = comb.offsets["S"] + 1  # "anana" #1 ...
+    t1 = comb.offsets["T"]  # "ananas" #3 ...
+    # S's suffix stops at its sentinel after five shared letters.
+    assert idx.lce(s2, t1) == 5
+    assert idx.lce(t1, s2) == 5
+    assert idx.lce(s2, s2) == len(comb) - s2 + 1
+    # "nana" #1 against "nanas" #3, and "a" #1 against "as" #3.
+    assert idx.lce(s2 + 1, t1 + 1) == 4
+    assert idx.lce(comb.offsets["S"] + 5, t1 + 4) == 1
+
+
+def test_segment_suffix_order_examples():
+    comb, idx = combined_index(b"abxab", b"ab")
+    s1, s4, t1 = comb.offsets["S"], comb.offsets["S"] + 3, comb.offsets["T"]
+    rank = lambda i: int(idx.isa[i - 1])
+    # "ab" #1 sorts before its extension "abxab" #1.
+    assert rank(s4) < rank(s1)
+    assert idx.lce(s4, s1) == 2
+    # Equal strings "ab" in S and T: the lower sentinel #1 ranks S's first,
+    # and the LCE covers the whole string.
+    assert rank(s4) < rank(t1) < rank(s1)
+    assert idx.lce(s4, t1) == 2
+
+
 def test_lce_reversed_segments_random():
     # The long regime reads a reversed prefix S[1..i-1]^R as the suffix of
     # the combined text that starts in S^R at offset + ns - i + 1; its LCE

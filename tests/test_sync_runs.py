@@ -257,3 +257,24 @@ def test_root_key_groups_runs_by_root_and_tail():
     # Their tails differ, so the (root, tail) key of the medium regime's
     # case III keeps them apart.
     assert len({root_key(c, r) + (r.tail,) for r in runs}) == 2
+
+
+def test_root_key_is_minimal_rotation_random():
+    # The key of a run is its period with its Lyndon root: the minimal
+    # rotation of one period, whatever phase the run starts in.
+    rng = np.random.default_rng(65)
+    seen = 0
+    for _ in range(60):
+        root = rand_codes(rng, int(rng.integers(1, 6)), 3)
+        reps = int(rng.integers(4, 10))
+        shift = int(rng.integers(0, root.size))
+        c = np.concatenate(
+            [rand_codes(rng, 5, 4), np.roll(np.tile(root, reps), -shift), rand_codes(rng, 5, 4)]
+        )
+        for run in find_tau_runs(c, 3):
+            p = run.period
+            period = c[run.start - 1 : run.start - 1 + p].tolist()
+            lyndon = min(tuple(period[k:] + period[:k]) for k in range(p))
+            assert root_key(c, run) == (p, lyndon)
+            seen += 1
+    assert seen > 0

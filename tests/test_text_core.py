@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from packedlcs.lcs_engine import _Ctx, lcs
 from packedlcs.text_core import (
     CombinedText,
     PackedLcsError,
+    _as_byte_seq,
     make_alphabet,
     read_text_file,
 )
@@ -50,6 +52,47 @@ def test_encode_rejects_byte_outside_alphabet():
     alpha = make_alphabet(b"acgt")
     with pytest.raises(PackedLcsError, match="byte 110 not in alphabet"):
         alpha.encode(b"acgtnacgx")
+
+
+def test_encode_positions_random():
+    # Code i (0-based) of an encoded string decodes to byte i of the input.
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        n = int(rng.integers(1, 200))
+        raw = bytes(rng.integers(97, 123, size=n, dtype=np.uint8))
+        alpha = make_alphabet(raw)
+        codes = alpha.encode(raw)
+        assert codes.dtype == np.int64 and codes.size == n
+        for i in rng.integers(0, n, size=10):
+            assert alpha.inverse_map[codes[int(i)]] == raw[int(i)]
+
+
+def test_as_byte_seq_coercion():
+    assert _as_byte_seq("a\u00e9") == "a\u00e9".encode("utf-8")
+    assert _as_byte_seq(b"ab") == b"ab"
+    out = _as_byte_seq(bytearray(b"ab"))
+    assert out == b"ab" and type(out) is bytes
+    for bad in ([97, 98], 7, None):
+        with pytest.raises(PackedLcsError):
+            _as_byte_seq(bad)
+    # The engine accepts every input type the coercion does.
+    assert lcs("xabcy", bytearray(b"zabcz")).length == 3
+    with pytest.raises(PackedLcsError):
+        lcs([1, 2], b"ab")
+
+
+def test_joint_alphabet_keeps_letters_apart():
+    # S and T are encoded over one joint alphabet, so a letter of S never
+    # shares a code with a different letter of T in the combined text.
+    ctx = _Ctx(b"ab", b"cd")
+    assert ctx.s_codes.tolist() == [0, 1]
+    assert ctx.t_codes.tolist() == [2, 3]
+    codes, off = ctx.combined().codes(), ctx.combined().offsets
+    assert set(codes[off["S"] - 1 : off["S"] + 1].tolist()).isdisjoint(
+        codes[off["T"] - 1 : off["T"] + 1].tolist()
+    )
+    ctx = _Ctx(b"ca", b"ac")
+    assert ctx.s_codes.tolist() == ctx.t_codes.tolist()[::-1]
 
 
 def _combined(s, t):
