@@ -19,7 +19,7 @@ inst = instance_from_pairs(P, Q)
 brute, _ = brute_max_pair_lcp(P, Q)
 gen = max_pair_lcp_general(inst)
 wav = solve_alpha_beta(inst, alpha=2, beta=2)
-print(f"general solver: {gen.value}, wavelet solver: {wav.value}, brute: {brute}")
+print(f"general solver: {gen.value}, (alpha, beta) solver: {wav.value}, brute: {brute}")
 print(f"witness pair: P[{gen.witness[0]}] = {P[gen.witness[0]]}, "
       f"Q[{gen.witness[1]}] = {Q[gen.witness[1]]}")
 print(f"probe counter: {gen.merged_elements} probes (the moves of a small-into-large merge)")

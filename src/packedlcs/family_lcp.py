@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .text_core import PackedLcsError
-from .suffix_index import build_compacted_trie
+from .suffix_index import SparseRmq, build_compacted_trie
 
 
 @dataclass
@@ -54,37 +54,23 @@ def _int_dtype(bound):
 
 
 class _RankLcp:
-    """LCP between ranked trie nodes given their ranks: a sparse table of
-    minima over the adjacent-rank LCPs, table[j, r] = min(adj[r : r + 2^j])."""
+    """LCP between ranked trie nodes given their ranks: range minima over
+    the adjacent-rank LCPs."""
 
     def __init__(self, trie):
         self.depth = trie.depth[trie.leaf_at_rank]
-        adj = trie.adjacent_leaf_lcp
-        dtype = trie.depth.dtype
-        n = adj.size
-        # One spare column keeps every gather in bounds (equal ranks read it).
-        table = np.zeros((max(1, n.bit_length()), n + 1), dtype=dtype)
-        table[0, :n] = adj
-        for j in range(1, table.shape[0]):
-            w, half = n - (1 << j) + 1, 1 << (j - 1)
-            np.minimum(table[j - 1, :w], table[j - 1, half : half + w], out=table[j, :w])
-        self.table = table
+        self.rmq = SparseRmq(trie.adjacent_leaf_lcp)
 
     def lcp(self, ra, rb):
         if ra == rb:
             return int(self.depth[ra])
-        if ra > rb:
-            ra, rb = rb, ra
-        j = (rb - ra).bit_length() - 1
-        return int(min(self.table[j, ra], self.table[j, rb - (1 << j)]))
+        return self.rmq.query(min(ra, rb), max(ra, rb))
 
     def lcp_many(self, ra, rb):
         """Element-wise lcp over two rank arrays, in the table's dtype."""
         ra, rb = np.asarray(ra, dtype=np.int64), np.asarray(rb, dtype=np.int64)
         lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
-        j = np.frexp(np.maximum(hi - lo, 1))[1] - 1  # floor(log2(hi - lo))
-        out = np.minimum(self.table[j, lo], self.table[j, hi - (1 << j)])
-        return np.where(lo == hi, self.depth[lo], out)
+        return np.where(lo == hi, self.depth[lo], self.rmq.query_many(lo, hi))
 
 
 class TwoFamiliesInstance:

@@ -14,7 +14,7 @@ decomposition of per-set compacted tries; pairs of complete families form a
 bicomplete family via a budgeted batch product; delta-subset groups with
 modification budgets remove double-counted mismatches; per batch the per-set
 tries are merged under length-1 edges and solved with the general or the
-wavelet solver.
+(alpha, beta)-family solver.
 
 Every reported sum is realized by a genuine pair of substrings at Hamming
 distance <= k, so legs never overreport and the maximum over the schedule is

@@ -11,9 +11,9 @@ Regimes, each sound everywhere and exact on its stated range:
 
 * medium (synchronizing set + tau-run anchors over S$T): anchor pairs become
   Two String Families LCP instances; the aperiodic case is a (tau, cap)
-  family solved by the wavelet solver, the periodic cases are prefix families
-  grouped by Lyndon root (and tail) solved in linear style.  Exact for
-  true LCS in [3 tau, cap] (periodic cases reach further up).
+  family solved one trie level at a time, the periodic cases are prefix
+  families grouped by Lyndon root (and tail) solved in linear style.  Exact
+  for true LCS in [3 tau, cap] (periodic cases reach further up).
 
 * long (difference-cover anchors): positions of a d-cover anchor both
   occurrences; reversed prefixes and suffixes form one merged-trie instance
@@ -573,9 +573,9 @@ def _lcs_medium(ctx, tau, cap):
 
 def _medium_case_one(ctx, anchors, tau, cap):
     """Case I: one (tau, cap)-family instance over the sync anchors, solved
-    by the wavelet core.  An element's first component is the up to tau
-    symbols before its anchor, read backwards; its second the up to cap
-    symbols from it.  Both families are sorted by packed keys: the distinct
+    by the (alpha, beta)-family core.  An element's first component is the
+    up to tau symbols before its anchor, read backwards; its second the up to
+    cap symbols from it.  Both families are sorted by packed keys: the distinct
     first components form trie1 (symbol s = leaf rank s), and the adjacent
     LCPs of the sorted second components are the root list."""
     a_s, a_t = anchors.a1_s, anchors.a1_t

@@ -90,26 +90,33 @@ def kasai_lcp(codes, sa):
 
 
 class SparseRmq:
-    """O(n log n) sparse table in the values' integer dtype; query(l, r) =
-    min over [l, r)."""
+    """Sparse table of range minima in the values' dtype: table[j, i] =
+    min(values[i : i + 2^j]), with one spare column that keeps every gather
+    in bounds.  query(l, r) and query_many(lo, hi) give the minimum over
+    [l, r)."""
 
     def __init__(self, values):
         values = np.asarray(values)
-        n = len(values)
-        self.table = [values]
-        j = 1
-        while (1 << j) <= n:
-            prev = self.table[-1]
-            half = 1 << (j - 1)
-            self.table.append(np.minimum(prev[: n - (1 << j) + 1], prev[half : n - (1 << j) + 1 + half]))
-            j += 1
+        n = values.size
+        table = np.zeros((max(1, n.bit_length()), n + 1), dtype=values.dtype)
+        table[0, :n] = values
+        for j in range(1, table.shape[0]):
+            w, half = n - (1 << j) + 1, 1 << (j - 1)
+            np.minimum(table[j - 1, :w], table[j - 1, half : half + w], out=table[j, :w])
+        self.table = table
 
     def query(self, l, r):
         if l >= r:
             return np.iinfo(np.int64).max
         j = (r - l).bit_length() - 1
-        t = self.table[j]
-        return int(min(t[l], t[r - (1 << j)]))
+        a, b = self.table[j, l], self.table[j, r - (1 << j)]
+        return int(a if a < b else b)
+
+    def query_many(self, lo, hi):
+        """Element-wise query over index arrays, in the table's dtype; entries
+        with lo >= hi hold no minimum."""
+        j = np.frexp(np.maximum(hi - lo, 1))[1] - 1  # floor(log2(hi - lo))
+        return np.minimum(self.table[j, lo], self.table[j, hi - (1 << j)])
 
 
 class SuffixIndex:
@@ -184,9 +191,8 @@ class CompactedTrie:
     that carry inputs are ranked in input order, which is also their id
     order: leaf_at_rank[r] is the node of rank r, leaf_rank[v] the rank of v
     (-1 where v carries no input) and adjacent_leaf_lcp[r] the LCP of the
-    strings of ranks r and r + 1.  ``children`` and ``payloads`` (the payload
-    ids of the inputs on each node, in input order) are lists built from the
-    arrays on first use.
+    strings of ranks r and r + 1.  ``payloads`` (the payload ids of the
+    inputs on each node, in input order) is a list built on first use.
     """
 
     def __init__(self, parent, depth, subtree_end, leaf_of_input, leaf_at_rank,
@@ -203,16 +209,6 @@ class CompactedTrie:
 
     def node_count(self):
         return self.parent.size
-
-    def is_leaf(self, v):
-        return int(self.subtree_end[v]) == v + 1
-
-    @cached_property
-    def children(self):
-        kids = [[] for _ in range(self.node_count())]
-        for v, p in enumerate(self.parent[1:].tolist(), 1):
-            kids[p].append(v)
-        return kids
 
     @cached_property
     def payloads(self):

@@ -3,6 +3,7 @@ import pytest
 
 from packedlcs.text_core import CombinedText, PackedLcsError, make_alphabet
 from packedlcs.suffix_index import (
+    SparseRmq,
     SuffixIndex,
     build_compacted_trie,
     kasai_lcp,
@@ -212,13 +213,15 @@ def test_suffix_trie_leaf_order_is_suffix_array():
     lcps = [naive_lcp(suffixes[i], suffixes[i + 1]) for i in range(len(suffixes) - 1)]
     trie = build_compacted_trie([len(x) for x in suffixes], lcps, payload_ids=order)
     # Left-to-right leaves spell the sorted order.
+    children = [[] for _ in range(trie.node_count())]
+    for v, p in enumerate(trie.parent.tolist()[1:], 1):
+        children[p].append(v)
     leaves = []
     stack = [0]
     while stack:
         v = stack.pop()
-        if trie.is_leaf(v) or trie.payloads[v]:
-            leaves.extend(trie.payloads[v])
-        stack.extend(reversed(trie.children[v]))
+        leaves.extend(trie.payloads[v])
+        stack.extend(reversed(children[v]))
     assert leaves == order
     # Node count bound and strictly increasing depths.
     n_leaves = len(set(map(tuple, [suffixes[i:i+1] for i in range(len(suffixes))])))
@@ -265,14 +268,16 @@ def test_lce_bulk_self_pairs_span_the_suffix():
     assert idx.lce_bulk(pos, pos).tolist() == (301 - pos).tolist()
 
 
-def test_trie_children_listed_in_id_order():
-    # The general family solver finds first and last children by node id.
-    rng = np.random.default_rng(20)
-    for _ in range(40):
-        strings = sorted(
-            "".join(chr(97 + int(c)) for c in rng.integers(0, 3, size=int(rng.integers(0, 9))))
-            for _ in range(int(rng.integers(1, 30)))
-        )
-        trie = build_trie_from_strings(strings)
-        for kids in trie.children:
-            assert kids == sorted(kids)
+def test_sparse_rmq_matches_scan():
+    rng = np.random.default_rng(21)
+    for dtype in (np.uint8, np.int32, np.int64):
+        for n in list(range(0, 18)) + [63, 64, 65]:
+            values = rng.integers(0, 100, size=n).astype(dtype)
+            rmq = SparseRmq(values)
+            assert rmq.table.dtype == dtype
+            lo, hi = np.triu_indices(n + 1, 1)
+            want = [int(values[a:b].min()) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert [rmq.query(a, b) for a, b in zip(lo.tolist(), hi.tolist())] == want
+            got = rmq.query_many(lo, hi)
+            assert got.dtype == dtype and got.tolist() == want
+            assert rmq.query(n, n) == np.iinfo(np.int64).max

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from packedlcs.family_lcp import instance_from_pairs, max_pair_lcp_general
+from packedlcs import lcs_engine, wavelet_lcp
+from packedlcs.family_lcp import (
+    TwoFamiliesInstance,
+    instance_from_pairs,
+    max_pair_lcp_general,
+)
+from packedlcs.lcs_engine import _build_anchors_medium, _Ctx, _medium_case_one
 from packedlcs.oracles import brute_max_pair_lcp
 from packedlcs.suffix_index import build_compacted_trie
 from packedlcs.text_core import PackedLcsError
-from packedlcs.wavelet_lcp import (
-    LcpsList,
-    binarize_skeleton,
-    build_wavelet,
-    cross_origin_max,
-    propagate_lcps,
-    solve_alpha_beta,
-    solve_alpha_beta_core,
-)
+from packedlcs.wavelet_lcp import solve_alpha_beta, solve_alpha_beta_core
 
 
 def naive_lcp(a, b):
@@ -37,213 +35,186 @@ def rand_str(rng, max_len, sigma=3, min_len=0):
     return "".join(chr(97 + int(c)) for c in rng.integers(0, sigma, size=n))
 
 
-# -- skeleton --
+def trie_height(trie):
+    """Number of levels of a trie: the longest root-to-node path, plus one."""
+    levels = [0] * trie.node_count()
+    for v, p in enumerate(trie.parent.tolist()[1:], 1):
+        levels[v] = levels[p] + 1
+    return max(levels) + 1
 
 
-def test_skeleton_single_leaf():
-    skel = binarize_skeleton(trie_of(["abc"]))
-    assert skel.node_count() == 1
-    assert skel.leaf_symbol[skel.root] == 0
-    assert skel.val_depth[skel.root] == 3
-
-
-def test_skeleton_binary_trie_kept():
-    # Two strings branching at the root: skeleton is root + two leaves.
-    skel = binarize_skeleton(trie_of(["ax", "bx"]))
-    assert skel.node_count() == 3
-    assert skel.height == 1
-
-
-def test_skeleton_prefix_string_gets_pad_leaf():
-    strings = ["ab", "abc"]
-    skel = binarize_skeleton(trie_of(strings))
-    # "ab" must be a leaf evaluated at depth 2, "abc" at depth 3.
-    d = {skel.leaf_symbol[v]: skel.val_depth[v]
-         for v in range(skel.node_count()) if skel.leaf_symbol[v] >= 0}
-    assert d == {0: 2, 1: 3}
-
-
-def leaf_pairs_lcp_consistent(skel, strings, rng, samples=200):
-    strs_by_symbol = strings
-    nodes = [v for v in range(skel.node_count()) if skel.leaf_symbol[v] < 0]
-    for v in nodes:
-        # sample a leaf from each side
-        def sample_leaf(u):
-            while skel.leaf_symbol[u] < 0:
-                u = skel.left[u] if rng.random() < 0.5 else skel.right[u]
-            return skel.leaf_symbol[u]
-        for _ in range(4):
-            a = sample_leaf(skel.left[v])
-            b = sample_leaf(skel.right[v])
-            want = naive_lcp(strs_by_symbol[a], strs_by_symbol[b])
-            assert skel.val_depth[v] == want, (v, a, b)
-
-
-def test_skeleton_prefix_consistency_random():
-    rng = np.random.default_rng(42)
-    for _ in range(60):
-        alpha = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 20))
-        strings = sorted({rand_str(rng, alpha, 2) for _ in range(m)} | {"a"})
-        trie = trie_of(strings)
-        skel = binarize_skeleton(trie)
-        leaf_pairs_lcp_consistent(skel, strings, rng)
-        # Every symbol has exactly one leaf.
-        syms = sorted(
-            skel.leaf_symbol[v] for v in range(skel.node_count()) if skel.leaf_symbol[v] >= 0
-        )
-        assert syms == list(range(len(strings)))
-
-
-def test_skeleton_height_bound():
-    rng = np.random.default_rng(43)
-    for _ in range(200):
-        alpha = int(rng.integers(1, 10))
-        m = int(rng.integers(1, 40))
-        strings = sorted({rand_str(rng, alpha, 2, min_len=1) for _ in range(m)})
-        if not strings:
-            continue
-        skel = binarize_skeleton(trie_of(strings))
-        bound = 2 * (alpha + int(np.ceil(np.log2(max(2, len(strings)))))) + 2
-        assert skel.height <= bound, (alpha, len(strings), skel.height)
-
-
-# -- wavelet --
-
-
-def test_wavelet_constant_sequence():
-    strings = ["aa", "ab", "bb"]
-    skel = binarize_skeleton(trie_of(strings))
-    seq = np.zeros(10, dtype=np.int64)
-    wt = build_wavelet(seq, skel)
-    for bits in wt.bitvecs.values():
-        assert len(set(bits.tolist())) <= 1
-
-
-def test_wavelet_reconstruction_random():
-    rng = np.random.default_rng(44)
-    for _ in range(60):
-        m = int(rng.integers(1, 15))
-        strings = sorted({rand_str(rng, 5, 2) for _ in range(m)})
-        skel = binarize_skeleton(trie_of(strings))
-        n = int(rng.integers(1, 60))
-        seq = rng.integers(0, len(strings), size=n).astype(np.int64)
-        wt = build_wavelet(seq, skel)
-        got = [wt.access(i) for i in range(n)]
-        assert got == list(seq)
-
-
-def test_wavelet_lift_inverts_routing():
-    # Route every element down to its leaf by rank, then lift it back up by
-    # select; lift must return the element's own sequence index.
-    rng = np.random.default_rng(40)
-    for _ in range(40):
-        m = int(rng.integers(1, 15))
-        strings = sorted({rand_str(rng, 5, 2) for _ in range(m)})
-        skel = binarize_skeleton(trie_of(strings))
-        n = int(rng.integers(1, 600))
-        seq = rng.integers(0, len(strings), size=n).astype(np.int64)
-        wt = build_wavelet(seq, skel)
-        for i in range(0, n, max(1, n // 50)):
-            v, pos, path = skel.root, i, ()
-            while skel.leaf_symbol[v] < 0:
-                bits = wt.bitvecs[v]
-                side = int(bits[pos])
-                pos = int(np.count_nonzero(bits[:pos] == bits[pos]))
-                path += ((v, side),)
-                v = skel.right[v] if side else skel.left[v]
-            assert skel.leaf_symbol[v] == seq[i]
-            assert wt.lift(pos, path) == i
-
-
-def test_wavelet_rejects_bad_symbol():
-    skel = binarize_skeleton(trie_of(["a", "b"]))
-    with pytest.raises(PackedLcsError):
-        build_wavelet(np.array([5]), skel)
-
-
-# -- LCP-list propagation --
-
-
-def test_propagate_identity_filter():
-    lst = LcpsList([0, 3, 1, 2], [False, True, False, True])
-    out = propagate_lcps(lst, np.zeros(4, dtype=bool), 0)
-    assert list(out.values) == [0, 3, 1, 2]
-    assert list(out.origins) == [False, True, False, True]
-
-
-def test_propagate_alternating_min_combination():
-    lst = LcpsList([0, 3, 1, 2], [False, False, True, True])
-    out = propagate_lcps(lst, np.array([False, True, False, True]), 0)
-    # kept positions 0 and 2; entry = min(L[1..2]) = min(3,1) = 1
-    assert list(out.values) == [0, 1]
-
-
-def test_lcps_list_rejects_length_mismatch():
-    with pytest.raises(PackedLcsError):
-        LcpsList([0, 1, 2], [False, True])
-    with pytest.raises(PackedLcsError):
-        propagate_lcps(LcpsList([0, 1], [False, True]), np.zeros(3, dtype=bool), 0)
-
-
-def windowed_min_lcps(vals, keep):
-    """Direct recomputation of a child list: entry j is the min of the parent
-    entries after kept element j-1 up to and including kept element j."""
-    return [0] * min(1, len(keep)) + [
-        min(vals[keep[j - 1] + 1 : keep[j] + 1]) for j in range(1, len(keep))
+def run_core(firsts, seconds, origins):
+    """Solve elements (firsts[i], seconds[i], origins[i]) with the core and
+    check the answer against the brute force: P holds the elements of
+    origin False, Q those of origin True.  Returns (value, trie 1)."""
+    n = len(firsts)
+    distinct = sorted(set(firsts))
+    trie1 = trie_of(distinct)
+    order = sorted(range(n), key=lambda i: seconds[i])
+    seq = [distinct.index(firsts[i]) for i in order]
+    root = [0] * min(1, n) + [
+        naive_lcp(seconds[order[r - 1]], seconds[order[r]]) for r in range(1, n)
     ]
+    beta = max([1] + [len(x) for x in seconds])
+    val, pair = solve_alpha_beta_core(trie1, seq, root, [origins[i] for i in order], beta)
+    p = [(firsts[i], seconds[i]) for i in range(n) if not origins[i]]
+    q = [(firsts[i], seconds[i]) for i in range(n) if origins[i]]
+    want, _ = brute_max_pair_lcp(p, q)
+    assert val == want
+    if not p or not q:
+        assert pair is None
+        return val, trie1
+    a, b = order[pair[0]], order[pair[1]]
+    assert origins[a] != origins[b]
+    assert naive_lcp(firsts[a], firsts[b]) + naive_lcp(seconds[a], seconds[b]) == val
+    return val, trie1
 
 
-def test_propagate_matches_recomputation_random():
-    rng = np.random.default_rng(45)
-    for _ in range(1000):
-        n = int(rng.integers(0, 40))
-        beta = int(rng.integers(1, 20))
-        sublist = [rand_str(rng, beta, 2) for _ in range(n)]
-        sublist.sort()
-        vals = [0] * min(1, n) + [
-            naive_lcp(sublist[i - 1], sublist[i]) for i in range(1, n)
-        ]
-        orig = rng.random(n) < 0.5
-        bits = rng.random(n) < 0.5
-        lst = LcpsList(vals, orig)
-        for side in (0, 1):
-            keep = [i for i in range(n) if bool(bits[i]) == bool(side)]
-            filtered = [sublist[i] for i in keep]
-            want = [0] * min(1, len(filtered)) + [
-                naive_lcp(filtered[i - 1], filtered[i]) for i in range(1, len(filtered))
-            ]
-            out = propagate_lcps(lst, bits, side)
-            assert list(out.values) == want == windowed_min_lcps(vals, keep)
-            assert list(out.origins) == [bool(orig[i]) for i in keep]
-    # One long list, checked against the windowed-minimum recomputation.
-    n, beta = 3000, 9
-    vals = [0] + [int(x) for x in rng.integers(0, beta + 1, size=n - 1)]
-    orig = rng.random(n) < 0.5
-    bits = rng.random(n) < 0.5
-    lst = LcpsList(vals, orig)
-    for side in (0, 1):
-        keep = [i for i in range(n) if bool(bits[i]) == bool(side)]
-        out = propagate_lcps(lst, bits, side)
-        assert list(out.values) == windowed_min_lcps(vals, keep)
-        assert list(out.origins) == [bool(orig[i]) for i in keep]
+# -- the level-at-a-time core --
 
 
-def test_cross_origin_max_scan():
-    rng = np.random.default_rng(47)
+def test_core_prefix_chain_uses_every_level():
+    # Every first component is a prefix of the next, so trie 1 is one path
+    # of alpha + 1 levels and the answer may sit on any of them.
+    rng = np.random.default_rng(40)
+    for alpha in range(1, 9):
+        chain = ["abcdefghij"[:k] for k in range(alpha + 1)]
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            firsts = [chain[int(rng.integers(0, alpha + 1))] for _ in range(n)]
+            seconds = [rand_str(rng, 6, 2) for _ in range(n)]
+            origins = (rng.random(n) < 0.5).tolist()
+            run_core(firsts, seconds, origins)
+        # One element per chain string: the deepest pair wins on first
+        # components alone.
+        firsts = chain + chain
+        seconds = ["x"] * len(firsts)
+        origins = [False] * len(chain) + [True] * len(chain)
+        val, trie1 = run_core(firsts, seconds, origins)
+        assert trie_height(trie1) == alpha + 1
+        assert val == alpha + 1
+
+
+def test_core_equal_and_duplicate_first_components():
+    rng = np.random.default_rng(41)
+    # All first components equal: the answer is its length plus the best
+    # cross-origin second-component LCP.
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        seconds = [rand_str(rng, 8, 2) for _ in range(n)]
+        origins = (rng.random(n) < 0.5).tolist()
+        run_core(["abc"] * n, seconds, origins)
+    # A few distinct first components, each repeated many times.
+    for _ in range(30):
+        pool = [rand_str(rng, 4, 2) for _ in range(int(rng.integers(1, 4)))]
+        n = int(rng.integers(2, 40))
+        firsts = [pool[int(rng.integers(0, len(pool)))] for _ in range(n)]
+        seconds = [rand_str(rng, 5, 2) for _ in range(n)]
+        origins = (rng.random(n) < 0.5).tolist()
+        run_core(firsts, seconds, origins)
+    # Identical elements of both origins score both full lengths.
+    assert run_core(["ab", "ab"], ["xyz", "xyz"], [False, True])[0] == 5
+
+
+def test_core_single_element():
+    for origin in (False, True):
+        assert run_core(["ab"], ["cd"], [origin])[0] == 0
+    assert solve_alpha_beta_core(trie_of(["a"]), [], [], [], 1) == (0, None)
+
+
+def test_core_vs_brute_random():
+    rng = np.random.default_rng(42)
     for _ in range(300):
-        n = int(rng.integers(0, 30))
-        beta = int(rng.integers(1, 16))
-        vals = [0] * min(1, n) + [
-            int(x) for x in rng.integers(0, beta + 1, size=max(0, n - 1))
-        ]
-        orig = rng.random(n) < 0.5
-        lst = LcpsList(vals, orig)
-        want = None
-        for i in range(1, n):
-            if orig[i] != orig[i - 1] and (want is None or vals[i] > want[0]):
-                want = (vals[i], i)
-        assert cross_origin_max(lst) == want
+        alpha = int(rng.integers(0, 7))
+        n = int(rng.integers(1, 30))
+        sigma = int(rng.integers(1, 4))
+        firsts = [rand_str(rng, alpha, sigma) for _ in range(n)]
+        seconds = [rand_str(rng, 8, sigma) for _ in range(n)]
+        origins = (rng.random(n) < 0.5).tolist()
+        run_core(firsts, seconds, origins)
+
+
+def check_against_general(trie1, seq, root, origins, beta):
+    """Solve prepared core arrays and check the value against the general
+    solver and the witness against its own two components.  Trie 2 holds
+    the second components in R order as strings one longer than beta: every
+    element keeps its own leaf, and the LCP of two elements is the root-list
+    minimum between them, as for strings whose adjacent LCPs are the root
+    list.  Returns the value."""
+    seq, root, origins = np.asarray(seq), np.asarray(root), np.asarray(origins)
+    val, (a, b) = solve_alpha_beta_core(trie1, seq, root, origins, beta)
+    trie2 = build_compacted_trie(np.full(seq.size, beta + 1), root[1:])
+    elems = np.stack([trie1.leaf_at_rank[seq], trie2.leaf_of_input], axis=1)
+    inst = TwoFamiliesInstance(trie1, trie2, elems[~origins], elems[origins])
+    assert max_pair_lcp_general(inst).value == val
+    leaf = trie1.leaf_at_rank
+    assert origins[a] != origins[b]
+    assert trie1.lca_depth(leaf[seq[a]], leaf[seq[b]]) + int(root[a + 1 : b + 1].min()) == val
+    return val
+
+
+def test_core_on_a_medium_case_one_instance(monkeypatch):
+    # The arrays medium case I hands to the core on random binary text.
+    rng = np.random.default_rng(43)
+    s = rng.integers(0, 2, size=9000).astype(np.uint8).tobytes()
+    t = rng.integers(0, 2, size=9000).astype(np.uint8).tobytes()
+    ctx = _Ctx(s, t)
+    tau, _, cap = lcs_engine.regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve_alpha_beta_core(*args)
+
+    monkeypatch.setattr(wavelet_lcp, "solve_alpha_beta_core", spy)
+    res = _medium_case_one(ctx, _build_anchors_medium(ctx, tau), tau, cap)
+    (trie1, seq, root, origins, beta), = calls
+    assert seq.size >= 5000 and beta == cap
+    assert check_against_general(trie1, seq, root, origins, beta) == res.length
+
+
+@pytest.mark.parametrize("beta", [255, 256, 65535, 65536])
+def test_core_root_values_at_beta(beta):
+    # The sparse table takes the smallest dtype that holds beta; values of
+    # exactly beta must survive it.
+    rng = np.random.default_rng(beta)
+    strings = sorted({rand_str(rng, 4, 2) for _ in range(12)})
+    trie1 = trie_of(strings)
+    m = 400
+    seq = rng.integers(0, len(strings), size=m)
+    root = rng.integers(beta - 3, beta + 1, size=m)
+    root[0] = 0
+    check_against_general(trie1, seq, root, rng.random(m) < 0.5, beta)
+
+
+@pytest.mark.parametrize("width", [256, 257, 65537])
+def test_core_many_nodes_on_one_level(width):
+    # width distinct one-letter first components: level 1 of trie 1 has
+    # width nodes, so the level's keys need more than one byte from 257 on
+    # and more than two from 65537 on.  The first two elements, symbols 0
+    # and width - 1, are the best pair; a key that wrapped around would put
+    # them on one node and score it one higher.
+    rng = np.random.default_rng(width)
+    trie1 = build_compacted_trie(np.ones(width, dtype=np.int64), np.zeros(width - 1, dtype=np.int64))
+    m = 2 * width
+    seq = rng.integers(0, width, size=m)
+    root = rng.integers(0, 3, size=m)
+    origins = rng.random(m) < 0.5
+    seq[:2], root[:2], origins[:2] = [0, width - 1], [0, 5], [False, True]
+    assert check_against_general(trie1, seq, root, origins, 5) == 5
+
+
+def test_core_rejects_bad_input():
+    trie = trie_of(["a", "b"])
+    # Symbols outside the trie's leaf ranks.
+    for seq in ([0, 2], [-1, 0]):
+        with pytest.raises(PackedLcsError, match="symbol"):
+            solve_alpha_beta_core(trie, seq, [0, 1], [False, True], 4)
+    # Symbol, LCP and origin lists of different lengths.
+    with pytest.raises(PackedLcsError, match="length"):
+        solve_alpha_beta_core(trie, [0, 1, 1], [0, 1], [False, True], 4)
+    with pytest.raises(PackedLcsError, match="length"):
+        solve_alpha_beta_core(trie, [0, 1], [0, 1], [False, True, True], 4)
 
 
 # -- the full solver --
