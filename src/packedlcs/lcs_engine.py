@@ -28,12 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
 from . import wavelet_lcp
-from .text_core import CombinedText, PackedLcsError, _as_byte_seq, make_alphabet
+from .text_core import (
+    CombinedText,
+    PackedLcsError,
+    _as_byte_seq,
+    _sort_packed_fragments,
+    make_alphabet,
+    symbol_bits,
+)
 from .suffix_index import SuffixIndex, build_compacted_trie
 from .sync_runs import build_sync_set, find_tau_runs, root_key
 from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general, max_pair_lcp_prefix
@@ -217,81 +223,34 @@ class _Ctx:
         return self._st_index
 
 
-def _bitlen_u64(x):
-    """Vectorized bit_length for uint64 arrays."""
-    x = x.astype(np.uint64)
-    hi = (x >> np.uint64(32)).astype(np.uint32)
-    lo = (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    out = np.zeros(x.shape, dtype=np.int64)
-    mh = hi > 0
-    with np.errstate(divide="ignore"):
-        out[mh] = 32 + np.floor(np.log2(hi[mh])).astype(np.int64) + 1
-        ml = ~mh & (lo > 0)
-        out[ml] = np.floor(np.log2(lo[ml])).astype(np.int64) + 1
-    return out
-
-
-def fragment_order_and_lcps(codes, starts0, lens, idx=None):
+def fragment_order_and_lcps(codes, starts0, lens, index):
     """Sort suffix components (start, length) of one code array and return
     (order, adjacent LCPs of the sorted list) as int arrays.
 
     Each component runs from its start to a terminator below every letter
-    (a segment end), so suffix order is already component order.  idx, when
-    given, is a SuffixIndex over codes that supplies that order; otherwise
-    the suffixes are sorted by packed prefix keys with deep ties scanned.
+    (a segment end), so suffix order is already component order.  The
+    components are sorted by their first word of packed symbols.  Only when
+    an adjacent pair agrees on that whole word and the longer of the two runs
+    past it is the word not enough; then index(), which returns a SuffixIndex
+    over codes, orders them all.  (A component of exactly one word's symbols
+    ties with its own extension, so it is the longer one that must fit.)
     """
-    starts0 = np.asarray(starts0, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    if len(starts0) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if idx is None:
-        order, lcps = _suffix_subset_order(codes, starts0)
-    else:
-        ranks = idx.isa[starts0]
-        order = np.argsort(ranks, kind="stable")
-        lcps = _subset_adjacent_lce(idx, ranks[order])
-    return order, np.minimum(lcps, np.minimum(lens[order][:-1], lens[order][1:]))
-
-
-def _sort_packed_fragments(codes, starts0, lens, width):
-    """Sort fragments of at most width symbols by packed keys; return (order,
-    adjacent LCPs of the sorted list).
-
-    A key holds code + 1 per symbol, bits = bit length of (max code + 1)
-    wide, 64 // bits symbols per uint64 word, first symbol highest, over
-    ceil(width / (64 // bits)) words.  Slots past a fragment's length are
-    masked to 0, so a fragment sorts before its extensions.  One stable
-    lexsort (word 0 primary) orders the keys, and the first differing word of
-    each adjacent pair gives its count of common leading symbols.
-    """
-    m, n = len(starts0), len(codes)
-    bits = max(1, (int(codes.max()) + 1).bit_length()) if n else 1
-    per = 64 // bits
-    n_words = max(1, -(-width // per))
-    src = np.zeros(n + width, dtype=np.uint64)  # zero tail: reads past codes
-    src[:n] = codes + 1
-    keys = np.zeros((n_words, m), dtype=np.uint64)
-    for t in range(width):
-        keys[t // per] |= src[t:].take(starts0) << np.uint64(bits * (per - 1 - t % per))
-    # keep[v] keeps the top v symbol slots of a word.
-    used = (1 << (per * bits)) - 1
-    keep = np.array(
-        [used ^ ((1 << (bits * (per - v))) - 1) for v in range(per + 1)], dtype=np.uint64
-    )
-    for w in range(n_words):
-        keys[w] &= keep[np.clip(lens - w * per, 0, per)]
-    order = np.lexsort(keys[::-1])
-    if m < 2:
-        return order, np.empty(0, dtype=np.int64)
-    ks = keys[:, order]
-    x = ks[:, :-1] ^ ks[:, 1:]
-    word = np.argmax(x != 0, axis=0)
-    xw = x[word, np.arange(m - 1)]
-    common = np.where(
-        xw == 0, n_words * per, word * per + (per * bits - _bitlen_u64(xw)) // bits
-    )
+    per = 64 // symbol_bits(codes)
+    order, lcps = _sort_packed_fragments(codes, starts0, np.minimum(lens, per), per)
     lo = lens[order]
-    return order, np.minimum(common, np.minimum(lo[:-1], lo[1:]))
+    if ((lcps == per) & (np.maximum(lo[:-1], lo[1:]) > per)).any():
+        return _index_order(index(), starts0, lens)
+    return order, lcps
+
+
+def _index_order(idx, starts0, lens):
+    """Order suffix components (start, length) of idx's text by suffix rank;
+    return (order, adjacent LCPs capped at the lengths)."""
+    ranks = idx.isa[starts0]
+    order = np.argsort(ranks, kind="stable")
+    lcps = _subset_adjacent_lce(idx, ranks[order])
+    lo = lens[order]
+    return order, np.minimum(lcps, np.minimum(lo[:-1], lo[1:]))
 
 
 def _subset_adjacent_lce(idx, sorted_ranks):
@@ -299,83 +258,15 @@ def _subset_adjacent_lce(idx, sorted_ranks):
     Equal ranks (duplicate positions) yield the full suffix length."""
     if len(sorted_ranks) <= 1:
         return np.empty(0, dtype=np.int64)
+    # The pair at ranks (a, b) reads lcp[a + 1 : b + 1]; the pad closes the
+    # last segment, and equal ranks read it (overwritten below).
     hi = int(sorted_ranks[-1])
-    starts = np.minimum(sorted_ranks[:-1] + 1, hi)
-    out = np.minimum.reduceat(idx.lcp[: hi + 1], starts)
+    lcp = np.append(idx.lcp[: hi + 1], np.iinfo(idx.lcp.dtype).max)
+    out = np.minimum.reduceat(lcp, sorted_ranks[:-1] + 1)
     same = sorted_ranks[:-1] == sorted_ranks[1:]
     if same.any():
         out[same] = idx.n - idx.sa[sorted_ranks[:-1][same]]
     return out
-
-
-def _suffix_subset_order(codes, starts0):
-    """Sort a position subset by suffix order with packed prefix keys; deep
-    ties (equal prefixes of K symbols) resolve by direct scan.  Returns
-    (order, adjacent LCE array)."""
-    n = len(codes)
-    maxc = int(codes.max()) if n else 0
-    bits = max(1, int(maxc + 1).bit_length())
-    k_sym = max(1, 64 // bits)
-    m = len(starts0)
-    keys = np.zeros(m, dtype=np.uint64)
-    for t in range(k_sym):
-        sym = np.zeros(m, dtype=np.uint64)
-        pos = starts0 + t
-        mask = pos < n
-        sym[mask] = codes[pos[mask]].astype(np.uint64) + 1
-        keys = (keys << np.uint64(bits)) | sym
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-
-    def scan_lce(a, b, base):
-        i, j = int(starts0[a]) + base, int(starts0[b]) + base
-        out = base
-        while i < n and j < n and codes[i] == codes[j]:
-            i += 1
-            j += 1
-            out += 1
-        return out
-
-    def cmp_from(a, b, base):
-        t = scan_lce(a, b, base)
-        i, j = int(starts0[a]) + t, int(starts0[b]) + t
-        la, lb = n - int(starts0[a]), n - int(starts0[b])
-        if t >= min(la, lb):
-            return (la > lb) - (la < lb)
-        ca, cb = int(codes[i]), int(codes[j])
-        return (ca > cb) - (ca < cb)
-
-    # Resolve tie groups (equal packed keys) by full comparison.
-    eq = np.flatnonzero(ks[:-1] == ks[1:])
-    if eq.size:
-        g = 0
-        while g < len(eq):
-            h = g
-            while h + 1 < len(eq) and eq[h + 1] == eq[h] + 1:
-                h += 1
-            lo, hi = int(eq[g]), int(eq[h]) + 1
-            chunk = sorted(
-                order[lo : hi + 1].tolist(),
-                key=cmp_to_key(lambda a, b: cmp_from(a, b, k_sym)),
-            )
-            order[lo : hi + 1] = chunk
-            g = h + 1
-        ks = keys[order]
-    if m < 2:
-        return order, np.empty(0, dtype=np.int64)
-    x = ks[:-1] ^ ks[1:]
-    lce = (k_sym * bits - _bitlen_u64(x)) // bits
-    rem_a = (len(codes) - starts0[order])[:-1]
-    rem_b = (len(codes) - starts0[order])[1:]
-    lce = np.minimum(lce, np.minimum(rem_a, rem_b))
-    deep = np.flatnonzero(x == 0)
-    for r in deep:
-        lce[r] = min(
-            scan_lce(int(order[r]), int(order[r + 1]), k_sym),
-            int(rem_a[r]),
-            int(rem_b[r]),
-        )
-    return order, lce
 
 
 def _sorted_trie(order, lens_sorted, lcps):
@@ -385,11 +276,6 @@ def _sorted_trie(order, lens_sorted, lcps):
     leaf_by_comp = np.empty(len(order), dtype=np.int64)
     leaf_by_comp[order] = trie.leaf_of_input
     return trie, leaf_by_comp
-
-
-def _component_trie(codes, starts0, lens, idx=None):
-    order, lcps = fragment_order_and_lcps(codes, starts0, lens, idx)
-    return _sorted_trie(order, np.asarray(lens, dtype=np.int64)[order], lcps)
 
 
 def _prefix_trie(lens):
@@ -422,8 +308,8 @@ def _lcs_short(ctx, m):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
     width = min(2 * m, max(ctx.ns, ctx.nt))
-    bits = (int(max(ctx.s_codes.max(), ctx.t_codes.max())) + 1).bit_length()
-    words = (ctx.ns + ctx.nt) * -(-width // (64 // bits))
+    codes = np.concatenate([ctx.s_codes, ctx.t_codes])
+    words = codes.size * -(-width // (64 // symbol_bits(codes)))
     if words > _SHORT_KEY_WORDS:
         raise PackedLcsError(
             f"short regime with m={m} needs {words} key words, "
@@ -435,7 +321,6 @@ def _lcs_short(ctx, m):
     lens = np.concatenate(
         [np.minimum(2 * m - np.arange(n) % m, n - np.arange(n)) for n in (ctx.ns, ctx.nt)]
     )
-    codes = np.concatenate([ctx.s_codes, ctx.t_codes])
     starts0 = np.arange(ctx.ns + ctx.nt)
     order, lcps = _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
     from_t = order >= ctx.ns
@@ -478,8 +363,8 @@ def _lcs_long(ctx, d):
     lens = np.concatenate([
         anchors_s - 1, ctx.ns - anchors_s + 1, anchors_t - 1, ctx.nt - anchors_t + 1,
     ])
-    codes = ctx.combined().codes()
-    trie, leaf = _component_trie(codes, starts, lens, idx)
+    order, lcps = _index_order(idx, starts, lens)
+    trie, leaf = _sorted_trie(order, lens[order], lcps)
     n_s = len(anchors_s)
     leaf_s, leaf_t = leaf[: 2 * n_s].reshape(2, -1), leaf[2 * n_s :].reshape(2, -1)
     inst = TwoFamiliesInstance(trie, trie, leaf_s.T, leaf_t.T)
@@ -625,7 +510,6 @@ def _medium_case_three(ctx, anchors):
 def _solve_prefix_groups(ctx, groups, case):
     best = None
     st = ctx.st_codes()
-    st_idx = None
     for key, members in groups.items():
         if not any(m[0] == "S" for m in members) or not any(m[0] == "T" for m in members):
             continue
@@ -662,11 +546,9 @@ def _solve_prefix_groups(ctx, groups, case):
         if case == "II":
             trie2, leaf2 = _prefix_trie([r[3] for r in recs])
         else:
-            if st_idx is None and len(st) <= (1 << 17):
-                st_idx = ctx.st_index()
-            trie2, leaf2 = _component_trie(
-                st, [r[4] for r in recs], [r[3] for r in recs], st_idx
-            )
+            starts2, lens2 = np.array([r[4] for r in recs]), np.array([r[3] for r in recs])
+            order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.st_index)
+            trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
         in_s = np.array([r[0] == "S" for r in recs])
         p_ids, q_ids = np.flatnonzero(in_s), np.flatnonzero(~in_s)
         elems = np.stack([leaf1, leaf2], axis=1)

@@ -82,13 +82,6 @@ def _lcp_from_ranks(sa, ranks):
     return lcp
 
 
-def kasai_lcp(codes, sa):
-    """lcp[r] = LCP(suffix sa[r-1], suffix sa[r]); lcp[0] = 0.
-
-    Read from prefix-doubling rank tables (no per-position scan)."""
-    return _lcp_from_ranks(sa, _prefix_doubling(codes, keep_ranks=True)[1])
-
-
 class SparseRmq:
     """Sparse table of range minima in the values' dtype: table[j, i] =
     min(values[i : i + 2^j]), with one spare column that keeps every gather

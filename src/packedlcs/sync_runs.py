@@ -5,8 +5,8 @@ A tau-synchronizing set A of a text T satisfies
   2. density: for i in [1, n-3tau+2], A cap [i, i+tau) is empty iff
      per(T[i..i+3tau-2]) <= tau/3.
 
-Construction: rank every length-tau window by its content (packed-bit key
-when it fits a word, otherwise suffix-array grouping), send highly periodic
+Construction: rank every length-tau window by its content (its packed key,
+text_core.pack_keys, ranked one word at a time), send highly periodic
 windows to an infinite tier, and select i when the minimum rank over window
 starts [i, i+tau] is attained at the first or the last one.  Both conditions
 are exhaustively checkable (see oracles.check_sync_set).
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text_core import PackedLcsError
-from .suffix_index import suffix_array, kasai_lcp
+from .text_core import PackedLcsError, pack_keys
 
 _HUGE = np.int64(2**62)
 
@@ -61,46 +60,21 @@ class MisperiodSets:
     right: tuple  # up to k minimal misperiods >= j, ascending
 
 
-def _window_keys_packed(codes, tau, bits):
-    n = codes.size
-    m = n - tau + 1
-    key = np.zeros(m, dtype=np.uint64)
-    u = codes.astype(np.uint64)
-    for t in range(tau):
-        key = (key << np.uint64(bits)) | u[t : t + m]
-    return key
-
-
 def window_ranks(codes, tau):
-    """Dense lexicographic rank of every length-tau window (0-based starts)."""
+    """Dense lexicographic rank of every length-tau window (0-based starts).
+
+    The windows are packed into words; each further word refines the rank
+    so far by the word's own dense rank."""
     codes = _as_codes(codes)
-    n = codes.size
-    m = n - tau + 1
+    m = codes.size - tau + 1
     if m <= 0:
         return np.empty(0, dtype=np.int64)
-    maxc = int(codes.max()) if n else 0
-    bits = max(1, int(maxc).bit_length())
-    if tau * bits <= 62:
-        keys = _window_keys_packed(codes, tau, bits)
-        _, rank = np.unique(keys, return_inverse=True)
-        return rank.astype(np.int64)
-    sa = suffix_array(codes)
-    lcp = kasai_lcp(codes, sa)
-    rank = np.full(m, -1, dtype=np.int64)
-    group = -1
-    have_prev_window = False
-    pending = np.iinfo(np.int64).max
-    for r in range(n):
-        if r > 0:
-            pending = min(pending, int(lcp[r]))
-        pos = int(sa[r])
-        if pos < m:
-            if not have_prev_window or pending < tau:
-                group += 1
-            rank[pos] = group
-            have_prev_window = True
-            pending = np.iinfo(np.int64).max
-    return rank
+    keys = pack_keys(codes, np.arange(m), np.full(m, tau), tau)
+    _, rank = np.unique(keys[0], return_inverse=True)
+    for word in keys[1:]:
+        _, sub = np.unique(word, return_inverse=True)
+        _, rank = np.unique(rank * (int(sub.max()) + 1) + sub, return_inverse=True)
+    return rank.astype(np.int64)
 
 
 def highly_periodic_windows(codes, win_len, max_period):

@@ -1,9 +1,10 @@
 """Alphabet remapping, the combined sentinel text, and input readers.
 
 Strings are remapped onto a dense code alphabet [0, sigma) and kept as int64
-numpy code arrays; the regimes pack symbols into uint64 sort keys where they
-need word parallelism (lcs_engine._sort_packed_fragments).  Positions are
-1-based throughout the public API; numpy internals are 0-based.
+numpy code arrays.  Where word parallelism pays, fragments of a code array
+are packed into uint64 sort keys by one packer, pack_keys: the regimes' fragment
+sort (_sort_packed_fragments) and the sync set's window ranks both read it.
+Positions are 1-based throughout the public API; numpy internals are 0-based.
 
 The combined text used by the long-range machinery is
 
@@ -104,3 +105,81 @@ def read_text_file(path, force_raw=False):
     if not body:
         raise PackedLcsError(f"{path}: FASTA file with no sequence data")
     return body
+
+
+# -- packed fragment keys ----------------------------------------------------
+
+
+def symbol_bits(codes):
+    """Bits per packed symbol: the bit length of (max code + 1), since a key
+    stores code + 1 and keeps 0 for slots past a fragment's end."""
+    return max(1, (int(codes.max()) + 1).bit_length()) if len(codes) else 1
+
+
+def pack_keys(codes, starts0, lens, width):
+    """(n_words, m) uint64 keys of the fragments codes[starts0[i] :
+    starts0[i] + lens[i]], lens at most width.
+
+    A key holds code + 1 per symbol, symbol_bits(codes) wide, 64 // bits
+    symbols per word, first symbol highest, over ceil(width / (64 // bits))
+    words.  Slots past a fragment's length are 0, so comparing keys word by
+    word orders fragments lexicographically, a prefix before its extensions.
+    """
+    n = len(codes)
+    bits = symbol_bits(codes)
+    per = 64 // bits
+    n_words = max(1, -(-width // per))
+    src = np.zeros(n + width, dtype=np.uint64)  # zero tail: reads past codes
+    src[:n] = codes + 1
+    keys = np.zeros((n_words, len(starts0)), dtype=np.uint64)
+    for t in range(width):
+        keys[t // per] |= src[t:].take(starts0) << np.uint64(bits * (per - 1 - t % per))
+    # keep[v] keeps the top v symbol slots of a word.
+    used = (1 << (per * bits)) - 1
+    keep = np.array(
+        [used ^ ((1 << (bits * (per - v))) - 1) for v in range(per + 1)], dtype=np.uint64
+    )
+    for w in range(n_words):
+        keys[w] &= keep[np.clip(lens - w * per, 0, per)]
+    return keys
+
+
+def _bitlen_u64(x):
+    """Vectorized bit_length for uint64 arrays."""
+    x = x.astype(np.uint64)
+    hi = (x >> np.uint64(32)).astype(np.uint32)
+    lo = (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    out = np.zeros(x.shape, dtype=np.int64)
+    mh = hi > 0
+    with np.errstate(divide="ignore"):
+        out[mh] = 32 + np.floor(np.log2(hi[mh])).astype(np.int64) + 1
+        ml = ~mh & (lo > 0)
+        out[ml] = np.floor(np.log2(lo[ml])).astype(np.int64) + 1
+    return out
+
+
+def _sort_packed_fragments(codes, starts0, lens, width):
+    """Sort fragments of at most width symbols by their pack_keys; return
+    (order, adjacent LCPs of the sorted list).
+
+    One stable lexsort (word 0 primary) orders the keys, and the first
+    differing word of each adjacent pair gives its count of common leading
+    symbols.
+    """
+    keys = pack_keys(codes, starts0, lens, width)
+    order = np.lexsort(keys[::-1])
+    m = len(starts0)
+    if m < 2:
+        return order, np.empty(0, dtype=np.int64)
+    n_words = keys.shape[0]
+    bits = symbol_bits(codes)
+    per = 64 // bits
+    ks = keys[:, order]
+    x = ks[:, :-1] ^ ks[:, 1:]
+    word = np.argmax(x != 0, axis=0)
+    xw = x[word, np.arange(m - 1)]
+    common = np.where(
+        xw == 0, n_words * per, word * per + (per * bits - _bitlen_u64(xw)) // bits
+    )
+    lo = lens[order]
+    return order, np.minimum(common, np.minimum(lo[:-1], lo[1:]))

@@ -1,13 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from packedlcs.lcs_engine import (
     _Ctx,
-    _bitlen_u64,
     _build_anchors_medium,
     _medium_case_one,
     _solve_prefix_groups,
-    _sort_packed_fragments,
     build_d_cover,
     lcs,
     lcs_long,
@@ -18,7 +18,7 @@ from packedlcs.lcs_engine import (
 )
 from packedlcs.oracles import lcs_dp
 from packedlcs.sync_runs import TauRun
-from packedlcs.text_core import PackedLcsError
+from packedlcs.text_core import PackedLcsError, _bitlen_u64, _sort_packed_fragments
 
 
 def rand_bytes(rng, n, sigma):
@@ -399,24 +399,145 @@ def test_packed_sort_byte_alphabet():
         assert lcps.tolist() == want_lcps
 
 
-def test_suffix_subset_sort_matches_index_path():
+class _IndexSpy:
+    """The index argument of fragment_order_and_lcps, counting its calls."""
+
+    def __init__(self, codes):
+        self.codes, self.calls = codes, 0
+
+    def __call__(self):
+        from packedlcs.suffix_index import SuffixIndex
+
+        self.calls += 1
+        return SuffixIndex(self.codes)
+
+
+def _check_component_sort(codes, starts0, lens):
+    """fragment_order_and_lcps against a naive sort of the component tuples;
+    returns the number of index calls."""
     from packedlcs.lcs_engine import fragment_order_and_lcps
+
+    spy = _IndexSpy(codes)
+    order, lcps = fragment_order_and_lcps(codes, starts0, lens, spy)
+    want_order, want_lcps = _naive_fragment_sort(codes, starts0, lens)
+    strings = [tuple(codes[a : a + ln].tolist()) for a, ln in zip(starts0, lens)]
+    # Equal components may come in any order.
+    assert [strings[i] for i in order.tolist()] == [strings[i] for i in want_order]
+    assert lcps.tolist() == want_lcps
+    return spy.calls
+
+
+def test_component_sort_matches_naive_sort():
+    # Components run to the end of the codes, as suffix components do.
+    rng = np.random.default_rng(58)
+    block = rng.integers(1, 3, size=37)
+    texts = [np.zeros(300, dtype=np.int64), np.tile([1, 2, 2], 100), np.tile(block, 8)]
+    texts += [rng.integers(0, int(rng.integers(2, 5)), size=int(rng.integers(10, 400))) for _ in range(40)]
+    for codes in texts:
+        codes = codes.astype(np.int64)
+        n = codes.size
+        for dup in (False, True):
+            m = int(rng.integers(1, 30))
+            starts0 = rng.integers(0, n, size=m).astype(np.int64)
+            if dup:
+                starts0 = np.repeat(starts0, 2)
+            _check_component_sort(codes, starts0, n - starts0)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_component_sort_word_long_component_beside_its_extension(swap):
+    # A is one packed word long and ends at a terminator; B is A followed by
+    # more letters.  Their keys are equal, and B's extra letters put it last.
+    from packedlcs.text_core import symbol_bits
+
+    per = 64 // symbol_bits(np.array([3]))
+    a = np.tile([1, 3, 2], per)[:per]
+    codes = np.concatenate([a, [0], a, [2, 1, 3]]).astype(np.int64)
+    starts0 = np.array([0, per + 1])
+    lens = np.array([per, per + 3])
+    if swap:
+        starts0, lens = starts0[::-1].copy(), lens[::-1].copy()
+    assert _check_component_sort(codes, starts0, lens) == 1
+
+
+def test_component_sort_calls_index_only_on_word_ties():
+    rng = np.random.default_rng(59)
+    codes = rng.integers(0, 2, size=4000).astype(np.int64)
+    starts0 = rng.choice(4000, size=60, replace=False).astype(np.int64)
+    assert _check_component_sort(codes, starts0, 4000 - starts0) == 0
+    block = rng.integers(0, 2, size=100)
+    codes = np.tile(block, 20).astype(np.int64)
+    starts0 = np.arange(0, 2000, 100) + 7
+    assert _check_component_sort(codes, starts0, 2000 - starts0) == 1
+
+
+def test_subset_adjacent_lce_with_repeated_largest_rank():
+    # Suffixes 0 and 2 of [1, 1, 2, 0] share nothing; the repeated 2 shares
+    # its whole suffix "2 0".
+    from packedlcs.lcs_engine import _subset_adjacent_lce
     from packedlcs.suffix_index import SuffixIndex
 
-    rng = np.random.default_rng(58)
-    for _ in range(40):
-        n = int(rng.integers(10, 400))
-        codes = rng.integers(0, int(rng.integers(2, 5)), size=n).astype(np.int64)
-        m = int(rng.integers(1, 30))
-        starts0 = rng.integers(0, n, size=m).astype(np.int64)
-        lens = (n - starts0).astype(np.int64)
+    idx = SuffixIndex(np.array([1, 1, 2, 0]))
+    ranks = np.sort(idx.isa[[0, 2, 2]])
+    assert _subset_adjacent_lce(idx, ranks).tolist() == [0, 2]
+    rng = np.random.default_rng(60)
+    for _ in range(200):
+        codes = rng.integers(0, 3, size=int(rng.integers(2, 30))).astype(np.int64)
+        starts0 = rng.integers(0, codes.size, size=int(rng.integers(2, 8)))
+        starts0 = np.concatenate([starts0, starts0[rng.integers(0, starts0.size, size=2)]])
         idx = SuffixIndex(codes)
-        o1, l1 = fragment_order_and_lcps(codes, starts0, lens, idx)
-        o2, l2 = fragment_order_and_lcps(codes, starts0, lens)
-        # orders may differ only within equal suffixes (identical starts)
-        l1, l2 = l1.tolist(), l2.tolist()
-        assert [int(starts0[i]) for i in o1] == [int(starts0[i]) for i in o2] or l1 == l2
-        assert l1 == l2
+        ranks = np.sort(idx.isa[starts0])
+        sa = idx.sa[ranks]
+        want = [len(os.path.commonprefix([codes[i:].tolist(), codes[j:].tolist()])) for i, j in zip(sa, sa[1:])]
+        assert _subset_adjacent_lce(idx, ranks).tolist() == want
+
+
+def _run_block(n, end):
+    """n symbols of one block of a-runs of length 8 to 12, each closed by end,
+    repeated; the block holds whole runs and about 1024 symbols."""
+    rng = np.random.default_rng(5)
+    block = bytearray()
+    while len(block) < 1024:
+        block += b"a" * int(rng.integers(8, 13)) + end
+    return (bytes(block) * (n // len(block) + 1))[:n]
+
+
+@pytest.mark.parametrize("entry", ["lcs_medium", "lcs"])
+def test_repeated_run_block_beyond_index_free_sizes(entry):
+    # The runs end in b in S and in c in T, so the LCS is the longest a-run:
+    # above the short regime's m and below the cap, so the medium regime
+    # decides.  Case III's components from the run ends then agree for
+    # thousands of symbols, past one packed word, and S$T has 2^17 + 1
+    # symbols.
+    from packedlcs.suffix_index import SuffixIndex
+
+    n = 1 << 16
+    s, t = _run_block(n, b"b"), _run_block(n, b"c")
+    idx = SuffixIndex(np.frombuffer(s + b"\0" + t, dtype=np.uint8))
+    cross = (idx.sa[:-1] < n) != (idx.sa[1:] < n)
+    want = int(idx.lcp[1:][cross].max())
+    _, m_short, cap = regime_parameters(n, n, 3)
+    assert m_short < want < cap
+    res = {"lcs_medium": lcs_medium, "lcs": lcs}[entry](s, t)
+    assert res.length == want
+    check_witness(s, t, res)
+
+
+@pytest.mark.parametrize("budget_words", [20, 19])
+def test_short_regime_key_budget_edge(monkeypatch, budget_words):
+    # Ten binary letters a side take 2-bit symbols, 32 to a word; with m = 3
+    # each position needs one word, so the call needs exactly 20 words.
+    from packedlcs import lcs_engine
+
+    monkeypatch.setattr(lcs_engine, "_SHORT_KEY_WORDS", budget_words)
+    s, t = b"aabbaabbaa", b"ababababab"
+    if budget_words == 20:
+        res = lcs_short(s, t, 3)
+        assert res.length == lcs_dp(s, t)[0]
+        check_witness(s, t, res)
+    else:
+        with pytest.raises(PackedLcsError, match="budget"):
+            lcs_short(s, t, 3)
 
 
 def test_short_regime_refuses_keys_over_budget():

@@ -28,6 +28,19 @@ def test_lcs_dp_size_guard():
         lcs_dp("a" * 40, "b" * 40, cfg)
 
 
+@pytest.mark.parametrize("k", [None, 1])
+def test_dp_size_guard_edge(k):
+    # The guard bounds |s| * |t| by max_n^2: 10 x 10 runs, 10 x 11 does not.
+    cfg = OracleConfig(max_n=10)
+    if k is None:
+        run, want = (lambda s, t: lcs_dp(s, t, cfg)), 4
+    else:
+        run, want = (lambda s, t: klcs_dp(s, t, k, cfg)), 5
+    assert run("abcdefghij", "xxcdefxxxx")[0] == want
+    with pytest.raises(OracleSizeError):
+        run("abcdefghij", "xxcdefxxxxx")
+
+
 def test_klcs_dp_examples():
     assert klcs_dp("abcde", "abxde", 1)[0] == 5
     assert klcs_dp("aaaa", "bbbb", 1)[0] == 1

@@ -17,13 +17,12 @@ from packedlcs.lcs_engine import (
     _Ctx,
     _build_anchors_medium,
     _medium_case_one,
-    _sort_packed_fragments,
     lcs_long,
     lcs_short,
 )
 from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
 from packedlcs.suffix_index import build_compacted_trie
-from packedlcs.text_core import PackedLcsError
+from packedlcs.text_core import PackedLcsError, _sort_packed_fragments
 
 
 def _family_strings(draw, max_sigma, min_len, max_len):

@@ -6,7 +6,6 @@ from packedlcs.suffix_index import (
     SparseRmq,
     SuffixIndex,
     build_compacted_trie,
-    kasai_lcp,
     suffix_array,
 )
 
@@ -46,8 +45,8 @@ def test_suffix_array_random():
 
 def test_lcp_array_banana():
     s = "banana"
-    sa = suffix_array(codes_of(s))
-    lcp = kasai_lcp(codes_of(s), sa)
+    idx = SuffixIndex(codes_of(s))
+    sa, lcp = idx.sa, idx.lcp
     for r in range(1, len(s)):
         a, b = s[sa[r - 1]:], s[sa[r]:]
         assert lcp[r] == naive_lcp(a, b)
@@ -251,8 +250,8 @@ def test_lcp_array_matches_scan_on_families():
     texts = ["a" * 70, "ab" * 35, "abc" * 23 + "b", "aab" * 20 + "a" * 9]
     texts += ["".join(chr(97 + int(c)) for c in rng.integers(0, 3, size=90)) for _ in range(5)]
     for s in texts:
-        sa = suffix_array(codes_of(s))
-        lcp = kasai_lcp(codes_of(s), sa)
+        idx = SuffixIndex(codes_of(s))
+        sa, lcp = idx.sa, idx.lcp
         assert lcp[0] == 0
         for r in range(1, len(s)):
             assert lcp[r] == naive_lcp(s[sa[r - 1]:], s[sa[r]:])

@@ -61,19 +61,37 @@ def test_sync_rejects_bad_tau():
         build_sync_set(codes_of("ab"), 5)
 
 
-def test_window_ranks_packed_vs_sa_paths():
+def _naive_window_ranks(c, tau):
+    windows = [tuple(c[i : i + tau].tolist()) for i in range(len(c) - tau + 1)]
+    dense = {w: r for r, w in enumerate(sorted(set(windows)))}
+    return [dense[w] for w in windows]
+
+
+@pytest.mark.parametrize("shift", [0, 40])
+def test_window_ranks_match_naive_dense_rank(shift):
+    # Codes below 3 take 2-bit symbols, 32 to a word: tau up to 40 covers one
+    # and two words.  Shifted by 40 bits, a symbol takes a word of its own.
     rng = np.random.default_rng(21)
-    for _ in range(20):
+    for _ in range(30):
         n = int(rng.integers(10, 200))
         c = rand_codes(rng, n, 3)
-        tau = int(rng.integers(2, 9))
-        if n - tau + 1 <= 0:
-            continue
-        a = window_ranks(c, tau)
-        # Force the suffix-array fallback by faking huge code width:
-        wide = c * (1 << 40)
-        b = window_ranks(wide, tau)
-        assert list(a) == list(b)
+        if rng.random() < 0.3:
+            c = np.tile(c[: int(rng.integers(1, 6))], n)[:n]
+        tau = int(rng.integers(2, min(41, n + 1)))
+        c = c << shift
+        assert window_ranks(c, tau).tolist() == _naive_window_ranks(c, tau)
+
+
+@pytest.mark.parametrize("tau", [30, 31, 32, 33])
+def test_sync_set_around_one_word_windows(tau):
+    # Three letters take 2 bits: tau * bits crosses 62 between tau = 31 and
+    # 32, and a window outgrows one 32-symbol word between 32 and 33.
+    rng = np.random.default_rng(23)
+    for c in (rand_codes(rng, 400, 3), np.tile(rand_codes(rng, 7, 3), 60)):
+        c[rng.integers(0, c.size, size=4)] = 2
+        sync = build_sync_set(c, tau)
+        rep = check_sync_set(sync.positions, c, tau)
+        assert rep["valid"], rep
 
 
 def test_succ_sync():
