@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""The Two String Families LCP problem and its three solvers."""
+"""The Two String Families LCP problem: the general solver, the (alpha, beta)
+solver and the brute-force oracle."""
 
 import numpy as np
 
 from packedlcs import (
     instance_from_pairs,
     max_pair_lcp_general,
-    max_pair_lcp_prefix,
     solve_alpha_beta,
 )
 from packedlcs.oracles import brute_max_pair_lcp
@@ -24,14 +24,14 @@ print(f"witness pair: P[{gen.witness[0]}] = {P[gen.witness[0]]}, "
       f"Q[{gen.witness[1]}] = {Q[gen.witness[1]]}")
 print(f"probe counter: {gen.merged_elements} probes (the moves of a small-into-large merge)")
 
-# Prefix families (all first components prefixes of one string) get the
-# linear-style solver.
+# Prefix families (all first components prefixes of one string) give a
+# chain-shaped first trie, so the general solver probes each element once.
 base = "abracadabra"
 Pp = [(base[:i], "xy"[: i % 3]) for i in (2, 5, 7)]
 Qp = [(base[:i], "xz"[: i % 3]) for i in (3, 7, 11)]
-inst2 = instance_from_pairs(Pp, Qp)
-print("prefix-family solver:", max_pair_lcp_prefix(inst2).value,
-      "general:", max_pair_lcp_general(inst2).value)
+pre = max_pair_lcp_general(instance_from_pairs(Pp, Qp))
+print(f"prefix family: {pre.value} (brute {brute_max_pair_lcp(Pp, Qp)[0]}), "
+      f"{pre.merged_elements} probes for {len(Pp) + len(Qp)} elements")
 
 # Random agreement sweep.
 rng = np.random.default_rng(3)

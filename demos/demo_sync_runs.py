@@ -20,12 +20,13 @@ print("succ from position 1:", succ_sync(sync, 1))
 periodic = np.array([0, 1] * 40 + [1, 0, 0] * 20, dtype=np.int64)
 sync_p = build_sync_set(periodic, tau)
 runs = find_tau_runs(periodic, tau)
-print(f"\nperiodic text: |A| = {len(sync_p)}, tau-runs = "
-      f"{[(r.start, r.end, r.period, r.tail) for r in runs]}")
-for r in runs:
-    root = periodic[r.lyndon_start - 1 : r.lyndon_start - 1 + r.period]
-    print(f"  run [{r.start},{r.end}] period {r.period} "
-          f"Lyndon root {root.tolist()} at {r.lyndon_start}")
+print(f"\nperiodic text: |A| = {len(sync_p)}, {len(runs)} tau-runs")
+for start, end, p, ls, tail, group in zip(
+    runs.start, runs.end, runs.period, runs.lyndon_start, runs.tail, runs.group
+):
+    root = periodic[ls - 1 : ls - 1 + p]
+    print(f"  run [{start},{end}] period {p} tail {tail}: "
+          f"Lyndon root {root.tolist()} at {ls}, root group {group}")
 
 # Misperiods: positions breaking a candidate period around a window.
 text = np.frombuffer(b"aaabaaacaaa", dtype=np.uint8).astype(np.int64)

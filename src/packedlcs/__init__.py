@@ -6,7 +6,7 @@ solvers the demos call; every other name stays importable from its module.
 
 from .text_core import PackedLcsError
 from .sync_runs import build_sync_set, find_tau_runs, misperiods, succ_sync
-from .family_lcp import instance_from_pairs, max_pair_lcp_general, max_pair_lcp_prefix
+from .family_lcp import instance_from_pairs, max_pair_lcp_general
 from .wavelet_lcp import solve_alpha_beta
 from .lcs_engine import (
     LcsResult,
@@ -44,7 +44,6 @@ __all__ = [
     "lcs_short",
     "max_pair_lcp_general",
     "max_pair_lcp_k",
-    "max_pair_lcp_prefix",
     "misperiods",
     "regime_parameters",
     "solve_alpha_beta",

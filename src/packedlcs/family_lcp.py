@@ -6,24 +6,23 @@ components are leaves of those tries, compute
     maxPairLCP(P, Q) = max{ LCP(P1, Q1) + LCP(P2, Q2) :
                             (P1, P2) in P, (Q1, Q2) in Q }.
 
-Two solvers are provided:
+One solver, ``max_pair_lcp_general``, works by small-to-large over the
+first trie, in batch.  With the elements ordered by first-component leaf
+rank, every trie node owns a contiguous range of them; its probes are the
+range's elements outside its heaviest child (the elements a
+smaller-into-larger merge would move there).  Each probe takes its nearest
+other-origin second-component rank neighbours within the node's whole range
+from a merge-sort tree over that order (one level at a time, one
+``searchsorted`` per level); a candidate is the node's string depth plus the
+LCP of the two second components.  O(N log^2 N); the probe count is
+``merged_elements``.
 
-* ``max_pair_lcp_general``: small-to-large over the first trie, in batch.
-  With the elements ordered by first-component leaf rank, every trie node
-  owns a contiguous range of them; its probes are the range's elements
-  outside its heaviest child (the elements a smaller-into-larger merge would
-  move there).  Each probe takes its nearest other-origin second-component
-  rank neighbours within the node's whole range from a merge-sort tree over
-  that order (one level at a time, one ``searchsorted`` per level); a
-  candidate is the node's string depth plus the LCP of the two second
-  components.  O(N log^2 N); the probe count is ``merged_elements``.
-
-* ``max_pair_lcp_prefix``: linear-style solver valid when all first
-  components are prefixes of one common string.  P cup Q is ordered by second
-  component; elements are processed by non-decreasing first-component length
-  while deleted slots skip to their nearest live neighbour (path-compressed),
-  so each element sees its nearest other-origin neighbours with first
-  component at least as long.
+No second solver is needed for prefix families (all first components
+prefixes of one string, as within each root group of the medium regime's
+periodic cases).  There the first trie is a chain, each node's heaviest
+child holds everything below it, and so every element is probed exactly once, at its own node, against
+its nearest neighbours with first components at least as long: the query a
+linear-style prefix solver would make.
 
 Component LCPs are rank-interval minima over the adjacent-leaf LCP array of a
 trie (equivalent to LCA string depths), read from a numpy sparse table one
@@ -32,7 +31,6 @@ query or one array of queries at a time.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -256,110 +254,6 @@ def max_pair_lcp_general(inst):
         if value > best_value or (value == best_value and witness < best_witness):
             best_value, best_witness = value, witness
     return PairLcpResult(best_value, best_witness, merged)
-
-
-class _SkipList:
-    """Live-position predecessor/successor over a fixed sorted position list,
-    with deleted slots skipping to their nearest live neighbour."""
-
-    def __init__(self, positions):
-        self.positions = positions
-        n = len(positions)
-        self.left = list(range(n))  # left[i] = nearest live index <= i (approx)
-        self.right = list(range(n))
-        self.alive = [True] * n
-
-    def _find_left(self, i):
-        path = []
-        while i >= 0 and not self.alive[i]:
-            path.append(i)
-            i = self.left[i]
-        for p in path:
-            self.left[p] = i
-        return i
-
-    def _find_right(self, i):
-        n = len(self.alive)
-        path = []
-        while i < n and not self.alive[i]:
-            path.append(i)
-            i = self.right[i]
-        for p in path:
-            self.right[p] = i
-        return i
-
-    def pred(self, pos):
-        i = self._find_left(bisect.bisect_left(self.positions, pos) - 1)
-        return self.positions[i] if i >= 0 else None
-
-    def succ(self, pos):
-        i = self._find_right(bisect.bisect_left(self.positions, pos))
-        return self.positions[i] if i < len(self.alive) else None
-
-    def delete(self, pos):
-        i = bisect.bisect_left(self.positions, pos)
-        self.alive[i] = False
-        self.left[i] = i - 1
-        self.right[i] = i + 1
-
-
-def max_pair_lcp_prefix(inst, spot_check=True):
-    """maxPairLCP for instances whose first components form a prefix family."""
-    n_p, n_q = len(inst.p_elems), len(inst.q_elems)
-    if not n_p or not n_q:
-        return PairLcpResult(0, None, 0)
-    r1, r2 = inst.r1, inst.r2
-    len1 = inst.lcp1.depth[r1]
-    if spot_check:
-        _assert_prefix_family(inst, len1)
-    # R: union ordered by second component (rank2), ties by element id.
-    order = np.argsort(r2, kind="stable")
-    in_p = order < n_p
-    skip = (
-        _SkipList(np.flatnonzero(in_p).tolist()),
-        _SkipList(np.flatnonzero(~in_p).tolist()),
-    )
-    pos_of = np.empty_like(order)
-    pos_of[order] = np.arange(order.size)
-    pos_of, order_list = pos_of.tolist(), order.tolist()
-
-    ours, theirs = [], []
-    by_len = np.argsort(len1, kind="stable")
-    for group in np.split(by_len, np.flatnonzero(np.diff(len1[by_len])) + 1):
-        group = group.tolist()
-        for uid in group:
-            other = skip[0 if uid >= n_p else 1]
-            p = pos_of[uid]
-            for zpos in (other.pred(p), other.succ(p)):
-                if zpos is not None:
-                    ours.append(uid)
-                    theirs.append(order_list[zpos])
-        for uid in group:
-            skip[0 if uid < n_p else 1].delete(pos_of[uid])
-    ours, theirs = np.array(ours, dtype=np.int64), np.array(theirs, dtype=np.int64)
-    values = inst.lcp1.lcp_many(r1[ours], r1[theirs]) + inst.lcp2.lcp_many(
-        r2[ours], r2[theirs]
-    )
-    value, witness = _best_pair(values, ours, theirs, n_p)
-    return PairLcpResult(value, witness, 0)
-
-
-def _assert_prefix_family(inst, len1):
-    import random
-
-    rng = random.Random(0x5EED)
-    m = len(len1)
-    picks = [(rng.randrange(m), rng.randrange(m)) for _ in range(min(32, m * m))]
-    a, b = np.array(picks, dtype=np.int64).T
-    got = inst.lcp1.lcp_many(inst.r1[a], inst.r1[b])
-    want = np.minimum(len1[a], len1[b])
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        k = bad[0]
-        raise PackedLcsError(
-            "first components do not form a prefix family "
-            f"(LCP {got[k]} != min length {want[k]})"
-        )
 
 
 # -- plain-string construction (tests, oracles, small instances) -----------

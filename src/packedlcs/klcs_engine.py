@@ -652,10 +652,9 @@ def _klcs_anchor_sets(ctx, ell, k):
             True,
         )
     positions = set(int(p) for p in build_sync_set(y, tau).positions)
-    for run in find_tau_runs(y, tau):
-        p = run.period
-        q = run.lyndon_start
-        mp = misperiods(y, run.start, run.start + p, k + 1)
+    runs = find_tau_runs(y, tau)
+    for start, p, q in zip(runs.start.tolist(), runs.period.tolist(), runs.lyndon_start.tolist()):
+        mp = misperiods(y, start, start + p, k + 1)
         for x in mp.left:
             r = q % p
             first = x + 1 + ((r - (x + 1)) % p)

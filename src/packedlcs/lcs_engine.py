@@ -11,8 +11,9 @@ Regimes, each sound everywhere and exact on its stated range:
 
 * medium (synchronizing set + tau-run anchors over S$T): anchor pairs become
   Two String Families LCP instances; the aperiodic case is a (tau, cap)
-  family solved one trie level at a time, the periodic cases are prefix
-  families grouped by Lyndon root (and tail) solved in linear style.  Exact
+  family solved one trie level at a time; each periodic case is one
+  instance whose first trie holds a chain of prefixes per Lyndon root (and
+  tail), solved by the general solver.  Exact
   for true LCS in [3 tau, cap] (periodic cases reach further up).
 
 * long (difference-cover anchors): positions of a d-cover anchor both
@@ -38,11 +39,12 @@ from .text_core import (
     _as_byte_seq,
     _sort_packed_fragments,
     make_alphabet,
+    pack_keys,
     symbol_bits,
 )
 from .suffix_index import SuffixIndex, build_compacted_trie
-from .sync_runs import build_sync_set, find_tau_runs, root_key
-from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general, max_pair_lcp_prefix
+from .sync_runs import build_sync_set, find_tau_runs
+from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general
 
 
 @dataclass
@@ -278,13 +280,6 @@ def _sorted_trie(order, lens_sorted, lcps):
     return trie, leaf_by_comp
 
 
-def _prefix_trie(lens):
-    """Trie of prefixes of one common string, given their lengths."""
-    order = np.argsort(lens, kind="stable")
-    lens_sorted = np.asarray(lens, dtype=np.int64)[order]
-    return _sorted_trie(order, lens_sorted, np.minimum(lens_sorted[:-1], lens_sorted[1:]))
-
-
 # -- short regime ------------------------------------------------------------
 
 
@@ -395,22 +390,7 @@ class MediumAnchors:
     tau: int
     a1_s: np.ndarray  # sync anchors, 1-based positions in S
     a1_t: np.ndarray
-    a2: list  # (which, anchor_pos, run) for first two Lyndon occurrences
-    a3: list  # (which, anchor_pos, run) for run ends
-
-
-def build_anchors_medium(s, t, tau):
-    ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
-    return _build_anchors_medium(ctx, tau)
-
-
-def _split_st(ctx, pos):
-    """Map a 1-based S$T position to ('S'|'T', in-string position)."""
-    if pos <= ctx.ns:
-        return "S", pos
-    if pos == ctx.ns + 1:
-        return None, None
-    return "T", pos - ctx.ns - 1
+    runs: object  # TauRuns of S$T; each run lies inside S or inside T
 
 
 def _build_anchors_medium(ctx, tau):
@@ -418,17 +398,7 @@ def _build_anchors_medium(ctx, tau):
     sync = build_sync_set(st, tau)
     a1_s = sync.positions[sync.positions <= ctx.ns]
     a1_t = sync.positions[sync.positions > ctx.ns + 1] - (ctx.ns + 1)
-    runs = find_tau_runs(st, tau)
-    a2, a3 = [], []
-    for run in runs:
-        for a in (run.lyndon_start, run.second_lyndon_start):
-            which, p = _split_st(ctx, a)
-            if which and a <= run.end:
-                a2.append((which, p, run))
-        which, p = _split_st(ctx, run.end)
-        if which:
-            a3.append((which, p, run))
-    return MediumAnchors(tau, a1_s, a1_t, a2, a3)
+    return MediumAnchors(tau, a1_s, a1_t, find_tau_runs(st, tau))
 
 
 def lcs_medium(s, t, tau=None, cap=None):
@@ -448,8 +418,8 @@ def _lcs_medium(ctx, tau, cap):
     best = LcsResult(0, 1, 1, "medium")
     for cand in (
         _medium_case_one(ctx, anchors, tau, cap),
-        _medium_case_two(ctx, anchors),
-        _medium_case_three(ctx, anchors),
+        _medium_periodic(ctx, anchors.runs, "II"),
+        _medium_periodic(ctx, anchors.runs, "III"),
     ):
         if cand is not None and cand.length > best.length:
             best = cand
@@ -491,78 +461,77 @@ def _medium_case_one(ctx, anchors, tau, cap):
     return LcsResult(val, int(anchor[i]) - left, int(anchor[j]) - left, "medium")
 
 
-def _medium_case_two(ctx, anchors):
+def _chain_trie(lens, group):
+    """Trie of one chain per group: within a group the strings are prefixes
+    of one string, across groups they share nothing.  Empty strings go
+    first: after a nonempty one, an empty string would be a prefix placed
+    after its extension."""
+    order = np.lexsort((lens, group, lens > 0))
+    lens_sorted, g = lens[order], group[order]
+    return _sorted_trie(order, lens_sorted, np.where(g[1:] == g[:-1], lens_sorted[:-1], 0))
+
+
+def _medium_periodic(ctx, runs, case):
+    """Cases II and III: one Two String Families instance over every run
+    anchor, P from S and Q from T, solved by the general solver.
+
+    Case II anchors the first two occurrences of each run's Lyndon root
+    (both inside the run, which spans more than two periods); case III
+    anchors each run's end.  An element's first component is the run's
+    text before its anchor, read backwards; its second is the rest of the
+    run (II) or of the string (III).  Runs of one group (II), or of one
+    group and tail (III), read on one phase of one root, so their first
+    components, and case II's seconds, are prefixes of one string each:
+    trie 1 (and case II's trie 2) is one chain per group.  A pair across
+    groups scores 0 plus at most a genuine forward extension, so it never
+    overreports.
+    """
     st = ctx.st_codes()
-    groups = {}
-    for which, pos, run in anchors.a2:
-        groups.setdefault(root_key(st, run), []).append((which, pos, run))
-    return _solve_prefix_groups(ctx, groups, case="II")
-
-
-def _medium_case_three(ctx, anchors):
-    st = ctx.st_codes()
-    groups = {}
-    for which, pos, run in anchors.a3:
-        groups.setdefault(root_key(st, run) + (run.tail,), []).append((which, pos, run))
-    return _solve_prefix_groups(ctx, groups, case="III")
-
-
-def _solve_prefix_groups(ctx, groups, case):
-    best = None
-    st = ctx.st_codes()
-    for key, members in groups.items():
-        if not any(m[0] == "S" for m in members) or not any(m[0] == "T" for m in members):
-            continue
-        # Element: first = reversed run prefix before the anchor; second =
-        # rest of run (case II) or suffix of the string from the run end
-        # (case III).
-        recs = []
-        for which, pos, run in members:
-            run_start_in_string = run.start if which == "S" else run.start - ctx.ns - 1
-            len1 = pos - run_start_in_string
-            # Prefix-family hinge: the anchor must sit on the group's root
-            # phase, so backward reads from all anchors spell prefixes of one
-            # rotation power.
-            st_pos = pos if which == "S" else pos + ctx.ns + 1
-            if case == "II":
-                off_phase = (st_pos - run.lyndon_start) % run.period != 0
-            else:
-                off_phase = (run.end + 1 - run.lyndon_start) % run.period != run.tail
-            if off_phase:
-                raise PackedLcsError(
-                    f"case {case} anchor at {which}{pos} is off its run's root phase"
-                )
-            if case == "II":
-                run_end_in_string = run.end if which == "S" else run.end - ctx.ns - 1
-                len2 = run_end_in_string - pos + 1
-                recs.append((which, pos, len1, len2, None))
-            else:
-                slen = ctx.ns if which == "S" else ctx.nt
-                len2 = slen - pos + 1
-                st_pos0 = pos - 1 if which == "S" else ctx.ns + 1 + pos - 1
-                recs.append((which, pos, len1, len2, st_pos0))
-        # trie1: prefixes of one common periodic string; so is case II's trie2.
-        trie1, leaf1 = _prefix_trie([r[2] for r in recs])
-        if case == "II":
-            trie2, leaf2 = _prefix_trie([r[3] for r in recs])
-        else:
-            starts2, lens2 = np.array([r[4] for r in recs]), np.array([r[3] for r in recs])
-            order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.st_index)
-            trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
-        in_s = np.array([r[0] == "S" for r in recs])
-        p_ids, q_ids = np.flatnonzero(in_s), np.flatnonzero(~in_s)
-        elems = np.stack([leaf1, leaf2], axis=1)
-        inst = TwoFamiliesInstance(trie1, trie2, elems[p_ids], elems[q_ids])
-        res = max_pair_lcp_prefix(inst)
-        if res.witness is None:
-            continue
-        pi, qi = res.witness
-        ra, rb = recs[p_ids[pi]], recs[q_ids[qi]]
-        left = min(ra[2], rb[2])
-        cand = LcsResult(res.value, ra[1] - left, rb[1] - left, "medium")
-        if best is None or cand.length > best.length:
-            best = cand
-    return best
+    if case == "II":
+        run = np.tile(np.arange(len(runs)), 2)
+        anchor = np.concatenate([runs.lyndon_start, runs.lyndon_start + runs.period])
+    else:
+        run, anchor = np.arange(len(runs)), runs.end
+    in_s = anchor <= ctx.ns
+    n_p = int(in_s.sum())
+    if not n_p or n_p == anchor.size:
+        return None
+    # P's elements first, then Q's.
+    by_side = np.argsort(~in_s, kind="stable")
+    run, anchor = run[by_side], anchor[by_side]
+    start, end, p, root_group = (
+        runs.start[run], runs.end[run], runs.period[run], runs.group[run]
+    )
+    if case == "II":
+        group, phase = root_group, anchor
+    else:
+        tail = runs.tail[run]
+        group, phase = root_group * (int(p.max()) + 1) + tail, end + 1 - tail - p
+    # Prefix-family hinge: every anchor's root phase must read its run
+    # group's one Lyndon root.
+    order = np.argsort(root_group, kind="stable")
+    root = pack_keys(st, phase[order] - 1, p[order], int(p.max()))
+    same = np.diff(root_group[order]) == 0
+    if (same & (root[:, 1:] != root[:, :-1]).any(axis=0)).any():
+        raise PackedLcsError(f"case {case} anchor is off its run's root phase")
+    trie1, leaf1 = _chain_trie(anchor - start, group)
+    if case == "II":
+        trie2, leaf2 = _chain_trie(end - anchor + 1, group)
+    else:
+        starts2 = anchor - 1
+        lens2 = np.where(anchor <= ctx.ns, ctx.ns, ctx.ns + ctx.nt + 1) - starts2
+        order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.st_index)
+        trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
+    elems = np.stack([leaf1, leaf2], axis=1)
+    inst = TwoFamiliesInstance(trie1, trie2, elems[:n_p], elems[n_p:])
+    res = max_pair_lcp_general(inst)
+    if res.witness is None:
+        return None
+    pi, qi = res.witness
+    left = inst.first_lcp(pi, qi)
+    return LcsResult(
+        res.value, int(anchor[pi]) - left, int(anchor[n_p + qi]) - ctx.ns - 1 - left, "medium"
+    )
 
 
 # -- dispatcher --------------------------------------------------------------

@@ -13,7 +13,9 @@ are exhaustively checkable (see oracles.check_sync_set).
 
 A tau-run is a maximal periodic fragment of length >= 3tau-1 with period
 p <= tau/3.  Runs are found by per-period match scans with shortest-period
-and maximality filters; Lyndon roots come from Booth's least-rotation scan.
+and maximality filters, over whole arrays of candidates per period.  A run's
+Lyndon root is the least of the packed keys of its p rotations, and runs
+with equal (period, root) share one dense group id.
 """
 
 from __future__ import annotations
@@ -42,16 +44,21 @@ class SyncSet:
 
 
 @dataclass(frozen=True)
-class TauRun:
-    start: int  # 1-based inclusive
-    end: int
-    period: int
-    lyndon_start: int
-    second_lyndon_start: int
-    tail: int
+class TauRuns:
+    """Runs as int64 arrays, one entry per run.  start, end and lyndon_start
+    (the first occurrence of the Lyndon root) are 1-based and inclusive; tail
+    is (end + 1 - lyndon_start) mod period; group is a dense id of (period,
+    Lyndon root), shared by exactly the runs with equal roots."""
 
-    def length(self):
-        return self.end - self.start + 1
+    start: np.ndarray
+    end: np.ndarray
+    period: np.ndarray
+    lyndon_start: np.ndarray
+    tail: np.ndarray
+    group: np.ndarray
+
+    def __len__(self):
+        return len(self.start)
 
 
 @dataclass(frozen=True)
@@ -128,88 +135,56 @@ def succ_sync(sync, i):
     return fallback
 
 
-def _booth_least_rotation(seq):
-    s = list(seq) + list(seq)
-    n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
 def find_tau_runs(text, tau):
-    """All maximal runs of length >= 3tau-1 with period <= tau/3, sorted."""
+    """All maximal runs of length >= 3tau-1 with period <= tau/3, as one
+    TauRuns record sorted by (start, period)."""
     if tau < 3:
         raise PackedLcsError("tau must be >= 3 for run detection")
     codes = _as_codes(text)
     n = codes.size
     pmax = tau // 3
     min_len = 3 * tau - 1
-    if n < min_len or pmax < 1:
-        return []
-    # Per-period prefix-sum tables of match indicators; cnts[p][x] counts
-    # matches codes[t] == codes[t+p] for t < x.
-    cnts = {}
-    for p in range(1, pmax + 1):
+    # Per-period prefix sums of match indicators; cnts[q][x] counts
+    # matches codes[t] == codes[t + q] for t < x.
+    cnts = [None]
+    found = []
+    for p in range(1, pmax + 1 if n >= min_len else 1):
         eq = codes[: n - p] == codes[p:]
-        cnts[p] = np.concatenate(([0], np.cumsum(eq)))
-
-    def has_period(start0, length, p):
-        need = length - p
-        if need <= 0:
-            return True
-        c = cnts[p]
-        return int(c[start0 + need] - c[start0]) == need
-
-    runs = []
-    for p in range(1, pmax + 1):
-        eq = codes[: n - p] == codes[p:]
-        padded = np.concatenate(([False], eq, [False])).astype(np.int8)
-        d = np.diff(padded)
-        starts = np.flatnonzero(d == 1)
-        ends = np.flatnonzero(d == -1)  # exclusive in eq-index space
-        for a, b in zip(starts, ends):
-            length = int(b - a) + p
-            if length < min_len:
-                continue
-            if any(has_period(int(a), length, q) for q in range(1, p)):
-                continue  # shortest period is smaller; found at q
-            start0 = int(a)
-            root_rot = _booth_least_rotation(codes[start0 : start0 + p])
-            start = start0 + 1
-            end = start0 + length
-            ls = start + root_rot
-            runs.append(
-                TauRun(
-                    start=start,
-                    end=end,
-                    period=p,
-                    lyndon_start=ls,
-                    second_lyndon_start=ls + p,
-                    tail=(end + 1 - ls) % p,
-                )
-            )
-    runs.sort(key=lambda r: (r.start, r.period))
-    return runs
-
-
-def root_key(codes, run):
-    """Canonical Lyndon-root identity of a run (period, root code tuple)."""
-    codes = _as_codes(codes)
-    ls = run.lyndon_start - 1
-    return (run.period, tuple(codes[ls : ls + run.period].tolist()))
+        cnts.append(np.concatenate(([0], np.cumsum(eq))))
+        d = np.diff(np.concatenate(([False], eq, [False])).astype(np.int8))
+        a = np.flatnonzero(d == 1)  # match runs [a, b) in eq-index space
+        length = np.flatnonzero(d == -1) - a + p
+        keep = length >= min_len
+        a, length = a[keep], length[keep]
+        for q in range(1, p):  # a shorter period: the run is found at q
+            c = cnts[q]
+            keep = c[a + length - q] - c[a] != length - q
+            a, length = a[keep], length[keep]
+        found.append((a, length, np.full(a.size, p)))
+    if not sum(f[0].size for f in found):
+        return TauRuns(*(np.empty(0, dtype=np.int64) for _ in range(6)))
+    start0, length, period = (np.concatenate(col).astype(np.int64) for col in zip(*found))
+    # Lyndon root: the least of the p rotations of one period, each read in
+    # place (a run spans at least two periods); one lexsort keyed by run.
+    first = np.cumsum(period) - period
+    run_of = np.repeat(np.arange(start0.size), period)
+    shift = np.arange(run_of.size) - first[run_of]
+    # pack_keys needs non-negative codes; a shift keeps their order.
+    keys = pack_keys(codes - codes.min(), start0[run_of] + shift, period[run_of], pmax)
+    least = np.lexsort((*keys[::-1], run_of))[first]
+    lyndon0 = start0 + shift[least]
+    # A key's zero slots past its length tell periods apart.
+    _, group = np.unique(keys[:, least], axis=1, return_inverse=True)
+    end = start0 + length
+    by_start = np.lexsort((period, start0))
+    return TauRuns(
+        start=start0[by_start] + 1,
+        end=end[by_start],
+        period=period[by_start],
+        lyndon_start=lyndon0[by_start] + 1,
+        tail=((end - lyndon0) % period)[by_start],
+        group=group.reshape(-1)[by_start].astype(np.int64),
+    )
 
 
 def misperiods(text, i, j, k):

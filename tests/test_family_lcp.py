@@ -5,7 +5,6 @@ from packedlcs.family_lcp import (
     TwoFamiliesInstance,
     instance_from_pairs,
     max_pair_lcp_general,
-    max_pair_lcp_prefix,
 )
 from packedlcs.oracles import brute_max_pair_lcp
 from packedlcs.text_core import PackedLcsError
@@ -83,13 +82,14 @@ def make_prefix_instance(rng, base_len=20, sigma=2, np_=6, nq=6):
 
 
 def test_prefix_examples():
-    res = max_pair_lcp_prefix(instance_from_pairs([("aa", "bc")], [("aaa", "bd")]))
-    assert res.value == 3
-    res2 = max_pair_lcp_prefix(instance_from_pairs([("ab", "cd")], [("ab", "cd")]))
-    assert res2.value == 4 and res2.witness == (0, 0)
+    # On a prefix family the chain trie probes every element once.
+    res = max_pair_lcp_general(instance_from_pairs([("aa", "bc")], [("aaa", "bd")]))
+    assert res.value == 3 and res.merged_elements == 2
+    res2 = max_pair_lcp_general(instance_from_pairs([("ab", "cd")], [("ab", "cd")]))
+    assert res2.value == 4 and res2.witness == (0, 0) and res2.merged_elements == 2
 
 
-def test_prefix_vs_general_and_brute():
+def test_prefix_families_vs_brute():
     rng = np.random.default_rng(32)
     for _ in range(300):
         p, q = make_prefix_instance(
@@ -100,20 +100,12 @@ def test_prefix_vs_general_and_brute():
             nq=int(rng.integers(1, 10)),
         )
         want, _ = brute_max_pair_lcp(p, q)
-        inst = instance_from_pairs(p, q)
-        a = max_pair_lcp_prefix(inst)
-        b = max_pair_lcp_general(inst)
-        assert a.value == want == b.value
-        if a.witness:
-            pi, qi = a.witness
+        res = max_pair_lcp_general(instance_from_pairs(p, q))
+        assert res.value == want
+        assert res.merged_elements == len(p) + len(q)
+        if res.witness:
+            pi, qi = res.witness
             assert len_common(p[pi][0], q[qi][0]) + len_common(p[pi][1], q[qi][1]) == want
-
-
-def test_prefix_rejects_non_prefix_family():
-    p = [("ab", "x"), ("cd", "y")]
-    q = [("ab", "x")]
-    with pytest.raises(PackedLcsError):
-        max_pair_lcp_prefix(instance_from_pairs(p, q))
 
 
 def test_witness_tie_break_deterministic():

@@ -7,7 +7,7 @@ from packedlcs.lcs_engine import (
     _Ctx,
     _build_anchors_medium,
     _medium_case_one,
-    _solve_prefix_groups,
+    _medium_periodic,
     build_d_cover,
     lcs,
     lcs_long,
@@ -17,7 +17,7 @@ from packedlcs.lcs_engine import (
     regime_parameters,
 )
 from packedlcs.oracles import lcs_dp
-from packedlcs.sync_runs import TauRun
+from packedlcs.sync_runs import TauRuns
 from packedlcs.text_core import PackedLcsError, _bitlen_u64, _sort_packed_fragments
 
 
@@ -170,21 +170,107 @@ def test_medium_periodic_case():
     assert lcs(s, s).length == 128
 
 
+def _runs(*rows):
+    """TauRuns from (start, end, period, lyndon_start, tail, group) rows."""
+    return TauRuns(*(np.array(col, dtype=np.int64) for col in zip(*rows)))
+
+
 @pytest.mark.parametrize("case", ["II", "III"])
-def test_prefix_groups_reject_anchor_off_root_phase(case):
+def test_periodic_cases_reject_anchor_off_root_phase(case):
     # S$T = (ab)^4 $ (ab)^4; both runs have period 2 and Lyndon root "ab".
     ctx = _Ctx(b"abababab", b"abababab")
-    run_t = TauRun(start=10, end=17, period=2, lyndon_start=10, second_lyndon_start=12, tail=0)
+    run_t = (10, 17, 2, 10, 0, 0)
+    on_phase = _runs((1, 8, 2, 1, 0, 0), run_t)
+    assert _medium_periodic(ctx, on_phase, case).length == 8
     if case == "II":
-        # Anchor at S[2] sits one letter past the root phase.
-        run_s = TauRun(start=1, end=8, period=2, lyndon_start=1, second_lyndon_start=3, tail=0)
-        members = [("S", 2, run_s), ("T", 1, run_t)]
+        # Anchors at S[2] and S[4] sit one letter past the root phase.
+        run_s = (1, 8, 2, 2, 1, 0)
     else:
         # A tail of 1 contradicts the run end at a whole number of periods.
-        run_s = TauRun(start=1, end=8, period=2, lyndon_start=1, second_lyndon_start=3, tail=1)
-        members = [("S", 8, run_s), ("T", 8, run_t)]
+        run_s = (1, 8, 2, 1, 1, 0)
     with pytest.raises(PackedLcsError, match="root phase"):
-        _solve_prefix_groups(ctx, {"group": members}, case=case)
+        _medium_periodic(ctx, _runs(run_s, run_t), case)
+
+
+def _lce(a, b):
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def _brute_periodic(s, t, runs, case):
+    """Best pair score of case II or III over every (S anchor, T anchor)
+    pair: first = the shorter first component inside a group, else 0;
+    second = the shorter second component inside a group, else 0 (II), or
+    the forward common extension from the two anchors (III)."""
+    ns = len(s)
+    elems = {True: [], False: []}
+    for start, end, p, ls, tail, group in zip(
+        *(getattr(runs, f).tolist() for f in ("start", "end", "period", "lyndon_start", "tail", "group"))
+    ):
+        anchors = (ls, ls + p) if case == "II" else (end,)
+        key = group if case == "II" else (group, tail)
+        in_s = end <= ns
+        shift = 0 if in_s else ns + 1
+        for a in anchors:
+            elems[in_s].append((key, a - start, end - a + 1, a - shift))
+    best = None
+    for kp, l1p, l2p, ap in elems[True]:
+        for kq, l1q, l2q, aq in elems[False]:
+            first = min(l1p, l1q) if kp == kq else 0
+            if case == "II":
+                second = min(l2p, l2q) if kp == kq else 0
+            else:
+                second = _lce(s[ap - 1 :], t[aq - 1 :])
+            best = first + second if best is None else max(best, first + second)
+    return best
+
+
+def _periodic_inputs(rng, n):
+    """Random binary, one periodic string each, one-letter runs, or runs of
+    "ab" and "abb" of random phase and length (so that runs of one root end
+    on different tails)."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return rand_bytes(rng, n, 2), rand_bytes(rng, n, 2)
+    if kind == 1:
+        root = rand_bytes(rng, int(rng.integers(1, 4)), 3)
+        return (root * n)[: n], (root * n)[int(rng.integers(0, 3)) :][: n - 7]
+
+    def runs(ends):
+        out = b""
+        while len(out) < n:
+            if kind == 2:
+                out += b"a" * int(rng.integers(3, 21))
+            else:
+                root = (b"ab", b"abb")[int(rng.integers(0, 2))] * 20
+                cut = int(rng.integers(0, 3))
+                out += root[cut : cut + int(rng.integers(10, 31))]
+            out += bytes([ends[int(rng.integers(0, len(ends)))]])
+        return out[:n]
+
+    return runs(b"cd"), runs(b"ce")
+
+
+@pytest.mark.parametrize("case", ["II", "III"])
+@pytest.mark.parametrize("tau", [3, 6, 9])
+def test_periodic_case_matches_brute_pairs(case, tau):
+    rng = np.random.default_rng(66 + tau)
+    seen = 0
+    for _ in range(40):
+        s, t = _periodic_inputs(rng, int(rng.integers(20, 120)))
+        ctx = _Ctx(s, t)
+        runs = _build_anchors_medium(ctx, tau).runs
+        want = _brute_periodic(s, t, runs, case)
+        res = _medium_periodic(ctx, runs, case)
+        if want is None:
+            assert res is None
+            continue
+        assert res.length == want, (s, t)
+        check_witness(s, t, res)
+        seen += 1
+    assert seen >= 10
 
 
 def test_medium_planted_aperiodic():

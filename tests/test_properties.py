@@ -17,7 +17,9 @@ from packedlcs.lcs_engine import (
     _Ctx,
     _build_anchors_medium,
     _medium_case_one,
+    lcs,
     lcs_long,
+    lcs_medium,
     lcs_short,
 )
 from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
@@ -149,6 +151,36 @@ def test_medium_case_one_matches_brute_family(case):
     assert res.length == want
     assert res.pos_s >= 1 and res.pos_t >= 1
     assert _witnessed(s, t, res)
+
+
+@st.composite
+def run_dense_pairs(draw):
+    """Two byte strings of one-letter runs, 3 to 20 long, each closed by a
+    terminator; S and T draw their terminators from two overlapping sets, so
+    runs match within a string and across the two up to their ends."""
+    letter = draw(st.sampled_from(b"ab"))
+
+    def one(ends):
+        out = b""
+        for _ in range(draw(st.integers(1, 8))):
+            out += bytes([letter]) * draw(st.integers(3, 20)) + bytes([draw(st.sampled_from(ends))])
+        return out
+
+    return one(b"cd"), one(b"de")
+
+
+@settings(max_examples=150)
+@given(run_dense_pairs())
+def test_run_dense_strings(pair):
+    s, t = pair
+    want, _, _ = lcs_dp(s, t)
+    res = lcs(s, t)
+    assert res.length == want and _witnessed(s, t, res)
+    for tau in (3, 6):
+        if tau > (len(s) + len(t) + 1) // 2:
+            continue
+        res = lcs_medium(s, t, tau=tau)
+        assert res.length <= want and _witnessed(s, t, res)
 
 
 # -- compacted tries ---------------------------------------------------------

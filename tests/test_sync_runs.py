@@ -8,7 +8,6 @@ from packedlcs.sync_runs import (
     build_sync_set,
     find_tau_runs,
     misperiods,
-    root_key,
     succ_sync,
     window_ranks,
 )
@@ -112,32 +111,42 @@ def test_succ_sync():
             assert succ_sync(s, i) == want
 
 
+def run_tuples(runs):
+    """(start, end, period, lyndon_start, tail) per run, in record order."""
+    return list(
+        zip(*(getattr(runs, f).tolist() for f in ("start", "end", "period", "lyndon_start", "tail")))
+    )
+
+
 def test_runs_unary():
     runs = find_tau_runs(codes_of("a" * 20), 6)
     assert len(runs) == 1
-    r = runs[0]
-    assert (r.start, r.end, r.period) == (1, 20, 1)
-    assert r.lyndon_start == 1 and r.tail == 0
+    assert run_tuples(runs) == [(1, 20, 1, 1, 0)]
+    assert runs.group.tolist() == [0]
 
 
 def test_runs_ab_power():
     runs = find_tau_runs(codes_of("ab" * 10), 6)
-    assert len(runs) == 1
-    r = runs[0]
-    assert (r.start, r.end, r.period) == (1, 20, 2)
-    assert r.lyndon_start == 1 and r.second_lyndon_start == 3
     # tail = (end + 1 - lyndon_start) mod p = 20 mod 2
-    assert r.tail == 0
+    assert run_tuples(runs) == [(1, 20, 2, 1, 0)]
 
 
 def test_runs_lyndon_root_is_least_rotation():
     # Run of "ba" repeated: Lyndon root is "ab", first occurrence at pos 2.
     runs = find_tau_runs(codes_of("ba" * 10), 6)
     assert len(runs) == 1
-    r = runs[0]
-    assert r.period == 2
-    assert r.lyndon_start == 2
-    assert r.tail == (r.end + 1 - r.lyndon_start) % 2
+    assert int(runs.period[0]) == 2
+    assert int(runs.lyndon_start[0]) == 2
+    assert int(runs.tail[0]) == (int(runs.end[0]) + 1 - 2) % 2
+
+
+def test_runs_none_found_gives_empty_arrays():
+    for text, tau in (("abcab", 3), ("abcabcabcab", 9), ("abcdefghijklmnopqrstuvwxyz", 6)):
+        runs = find_tau_runs(codes_of(text), tau)
+        assert len(runs) == 0
+        for field in ("start", "end", "period", "lyndon_start", "tail", "group"):
+            got = getattr(runs, field)
+            assert got.dtype == np.int64 and got.size == 0
 
 
 def test_runs_vs_naive_random():
@@ -147,8 +156,11 @@ def test_runs_vs_naive_random():
         sigma = int(rng.integers(2, 4))
         c = rand_codes(rng, n, sigma)
         tau = int(rng.integers(3, 13))
-        got = [(r.start, r.end, r.period) for r in find_tau_runs(c, tau)]
+        runs = find_tau_runs(c, tau)
+        got = list(zip(runs.start.tolist(), runs.end.tolist(), runs.period.tolist()))
         assert sorted(got) == naive_tau_runs(c, tau)
+        by_start = [(a, p) for a, _, p in got]
+        assert by_start == sorted(by_start)
 
 
 def test_runs_overlap_bound():
@@ -156,11 +168,11 @@ def test_runs_overlap_bound():
     for _ in range(40):
         c = rand_codes(rng, 400, 2)
         tau = 6
-        runs = find_tau_runs(c, tau)
+        runs = run_tuples(find_tau_runs(c, tau))
         for i in range(len(runs)):
             for j in range(i + 1, len(runs)):
                 a, b = runs[i], runs[j]
-                overlap = min(a.end, b.end) - max(a.start, b.start) + 1
+                overlap = min(a[1], b[1]) - max(a[0], b[0]) + 1
                 assert overlap <= (2 * tau) // 3
 
 
@@ -168,19 +180,17 @@ def test_runs_weak_periodicity_lemma():
     rng = np.random.default_rng(25)
     for _ in range(30):
         c = rand_codes(rng, 300, 2)
-        runs = find_tau_runs(c, 6)
-        for r in runs:
-            length = r.length()
-            p = r.period
+        for start, end, p, _, _ in run_tuples(find_tau_runs(c, 6)):
+            length = end - start + 1
             for q in range(p, min(length - p, 2 * p) + 1):
                 # q a period and p + q <= length => gcd is a period.
                 is_q = all(
-                    c[t] == c[t + q] for t in range(r.start - 1, r.end - q)
+                    c[t] == c[t + q] for t in range(start - 1, end - q)
                 )
                 if is_q and p + q <= length:
                     g = int(np.gcd(p, q))
                     assert all(
-                        c[t] == c[t + g] for t in range(r.start - 1, r.end - g)
+                        c[t] == c[t + g] for t in range(start - 1, end - g)
                     )
 
 
@@ -265,34 +275,53 @@ def test_misperiods_vs_naive():
         assert got == MisperiodSets(want_left, want_right)
 
 
-def test_root_key_groups_runs_by_root_and_tail():
+def naive_root(c, start, period):
+    """(period, least rotation of the run's first period) as a tuple."""
+    word = c[start - 1 : start - 1 + period].tolist()
+    return period, min(tuple(word[k:] + word[:k]) for k in range(period))
+
+
+def assert_groups_match_naive_roots(c, runs):
+    roots = [naive_root(c, r[0], r[2]) for r in run_tuples(runs)]
+    group = runs.group.tolist()
+    for i in range(len(roots)):
+        for j in range(len(roots)):
+            assert (roots[i] == roots[j]) == (group[i] == group[j])
+    assert sorted(set(group)) == list(range(len(set(group))))  # dense ids
+
+
+def test_groups_partition_runs_by_root_and_tail():
     c = codes_of("ab" * 10 + "c" + "ba" * 10)
     runs = find_tau_runs(c, 6)
     assert len(runs) == 2
     # Both runs share the Lyndon root "ab" whatever their phase.
-    root = (2, (ord("a"), ord("b")))
-    assert [root_key(c, r) for r in runs] == [root, root]
+    assert runs.group.tolist() == [0, 0]
+    assert_groups_match_naive_roots(c, runs)
     # Their tails differ, so the (root, tail) key of the medium regime's
     # case III keeps them apart.
-    assert len({root_key(c, r) + (r.tail,) for r in runs}) == 2
+    assert len(set(zip(runs.group.tolist(), runs.tail.tolist()))) == 2
 
 
-def test_root_key_is_minimal_rotation_random():
-    # The key of a run is its period with its Lyndon root: the minimal
-    # rotation of one period, whatever phase the run starts in.
+@pytest.mark.parametrize("scale, offset", [(1, 0), (37, 200), (-37, 0)])
+def test_groups_match_naive_least_rotation_random(scale, offset):
+    # The group of a run is its period with its Lyndon root: the minimal
+    # rotation of one period, whatever phase the run starts in.  Codes
+    # scaled by 37 (plus 200) take 14-bit key symbols; scaled by -37 they
+    # are negative.
     rng = np.random.default_rng(65)
     seen = 0
     for _ in range(60):
-        root = rand_codes(rng, int(rng.integers(1, 6)), 3)
-        reps = int(rng.integers(4, 10))
-        shift = int(rng.integers(0, root.size))
-        c = np.concatenate(
-            [rand_codes(rng, 5, 4), np.roll(np.tile(root, reps), -shift), rand_codes(rng, 5, 4)]
-        )
-        for run in find_tau_runs(c, 3):
-            p = run.period
-            period = c[run.start - 1 : run.start - 1 + p].tolist()
-            lyndon = min(tuple(period[k:] + period[:k]) for k in range(p))
-            assert root_key(c, run) == (p, lyndon)
-            seen += 1
-    assert seen > 0
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            root = rand_codes(rng, int(rng.integers(1, 6)), 3)
+            reps = int(rng.integers(4, 20))
+            shift = int(rng.integers(0, root.size))
+            parts += [rand_codes(rng, 5, 4), np.roll(np.tile(root, reps), -shift)]
+        c = np.concatenate(parts + [rand_codes(rng, 5, 4)]) * scale + offset
+        runs = find_tau_runs(c, int(rng.integers(3, 19)))
+        for start, _, p, ls, _ in run_tuples(runs):
+            assert tuple(c[ls - 1 : ls - 1 + p].tolist()) == naive_root(c, start, p)[1]
+            assert start <= ls < start + p
+        assert_groups_match_naive_roots(c, runs)
+        seen += int((runs.period > 1).sum())
+    assert seen >= 20
