@@ -8,13 +8,16 @@ positions of highly periodic runs) and evaluates, over the anchored family of
     max over k' of maxPairLCP_{k', k-k'}(U, V).
 
 maxPairLCP_{k1,k2} reduces to plain maxPairLCP instances over families of
-modified strings (a source fragment plus up to k substitutions):  a
-k-complete family is generated level by level, guided by the heavy-light
-decomposition of per-set compacted tries; pairs of complete families form a
-bicomplete family via a budgeted batch product; delta-subset groups with
-modification budgets remove double-counted mismatches; per batch the per-set
-tries are merged under length-1 edges and solved with the general or the
-(alpha, beta)-family solver.
+modified strings (a source fragment plus up to k substitutions).  A modified
+string is compared by its packed key: the source fragment's
+text_core.pack_keys column with each substitution written into its symbol
+slot, so one key sort orders a set and the XOR of neighbouring keys gives
+its adjacent LCPs.  A k-complete family is generated level by level, guided
+by the heavy-light decomposition of the compacted tries of the sets it cuts;
+pairs of complete families form a bicomplete family via a budgeted batch
+product; delta-subset groups with modification budgets remove
+double-counted mismatches; per batch the sets are merged under length-1
+edges, ordered by (set, packed key), and solved with the general solver.
 
 Every reported sum is realized by a genuine pair of substrings at Hamming
 distance <= k, so legs never overreport and the maximum over the schedule is
@@ -23,18 +26,16 @@ exact.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .text_core import PackedLcsError
-from .suffix_index import SuffixIndex, build_compacted_trie
+from .text_core import PackedLcsError, _sort_keys, pack_keys, symbol_bits
+from .suffix_index import build_compacted_trie
 from .sync_runs import build_sync_set, find_tau_runs, misperiods
 from .family_lcp import TwoFamiliesInstance, _RankLcp, max_pair_lcp_general
-from .wavelet_lcp import solve_alpha_beta
-from .lcs_engine import _Ctx, lcs
+from .lcs_engine import _Ctx, _sorted_trie, lcs
 
 
 K_CAP = 4
@@ -44,33 +45,12 @@ K_CAP = 4
 FORCE_FAMILY_LEGS = False
 
 
-@dataclass(frozen=True)
-class ModifiedString:
-    """A source fragment (0-based start, length) of the reference text plus a
-    sorted tuple of (1-based position, letter) substitutions."""
-
-    start: int
-    length: int
-    delta: tuple = ()
-
-    def validate(self, codes, k=None):
-        prev = 0
-        for pos, letter in self.delta:
-            if not (prev < pos <= self.length):
-                raise PackedLcsError(f"substitution position {pos} invalid")
-            if int(codes[self.start + pos - 1]) == letter:
-                raise PackedLcsError("substitution equals the source letter")
-            prev = pos
-        if k is not None and len(self.delta) > k:
-            raise PackedLcsError("too many substitutions")
-
-
 @dataclass
 class FamilyCounters:
     family_total: int = 0  # total modified pairs across all product sets
     per_set_per_source_max: int = 0
     light_ancestors_max: int = 0
-    batch_peak: int = 0  # largest in-flight accumulator (triples or 6-tuples)
+    batch_peak: int = 0  # largest in-flight accumulator (entries or products)
     batch_slack: int = 0  # largest single-set addition (allowed overshoot)
     batch_budget: int = 0
     batches: int = 0
@@ -103,19 +83,6 @@ def _letter(codes, start, delta, pos):
         if p == pos:
             return c
     return int(codes[start + pos - 1])
-
-
-def _lcp_k_frag(idx, a0, la, b0, lb, k):
-    """Kangaroo lcp_k for fragments (0-based starts) of the indexed text."""
-    cur, limit, mism = 0, min(la, lb), 0
-    while cur < limit:
-        t = min(idx.lce(a0 + cur + 1, b0 + cur + 1), limit - cur)
-        cur += t
-        if cur >= limit or mism == k:
-            break
-        mism += 1
-        cur += 1
-    return cur
 
 
 def lcp_k(u, v, k):
@@ -160,128 +127,67 @@ def is_maxpair(u, v, k, delta, nabla):
     return True
 
 
-def _lcp_modified(idx, codes, f1, d1, f2, d2):
-    """LCP of two modified strings; O(k) LCE jumps."""
-    (a0, la), (b0, lb) = f1, f2
-    limit = min(la, lb)
-    events = sorted({p for p, _ in d1} | {p for p, _ in d2})
-    cur = 0
-    for ev in events:
-        if ev > limit:
-            break
-        span = ev - 1 - cur
-        if span > 0:
-            t = min(idx.lce(a0 + cur + 1, b0 + cur + 1), span)
-            cur += t
-            if t < span:
-                return cur
-        if _letter(codes, a0, d1, ev) != _letter(codes, b0, d2, ev):
-            return cur
-        cur = ev
-    if cur < limit:
-        cur += min(idx.lce(a0 + cur + 1, b0 + cur + 1), limit - cur)
-    return cur
-
-
-def _compare_tail(idx, codes, a0, la, b0, lb):
-    """Lexicographic comparison of two plain text fragments."""
-    t = min(idx.lce(a0 + 1, b0 + 1), la, lb) if la and lb else 0
-    if t == min(la, lb):
-        return (la > lb) - (la < lb)
-    ca, cb = int(codes[a0 + t]), int(codes[b0 + t])
-    return (ca > cb) - (ca < cb)
-
-
 class _CompleteFamily:
-    """Streamed k-complete family over source fragments of one text."""
+    """Streamed k-complete family over source fragments of one text.
 
-    def __init__(self, idx, codes, fragments, k, counters):
-        self.idx = idx
+    A set is a list of (src, delta) entries: a fragment index and a sorted
+    tuple of (1-based position, letter) substitutions.  The fragments are
+    packed once; a modified string's key is its fragment's key with the
+    substitutions written in.  pack_keys needs codes >= 0, so keys hold codes
+    shifted to start at 0, which keeps order and equality, while deltas keep
+    the text's own letters.
+    """
+
+    def __init__(self, codes, fragments, k, counters):
         self.codes = codes
         self.fragments = fragments  # list of (start0, length)
         self.k = k
         self.counters = counters
-
-    # A set is (entries, order, lcps): entries = [(src, delta)], order a
-    # permutation sorted lexicographically, lcps adjacent modified LCPs.
+        self.lens = np.array([f[1] for f in fragments], dtype=np.int64)
+        self.lo = int(codes.min()) if len(codes) else 0
+        shifted = codes - self.lo
+        self.bits = symbol_bits(shifted)
+        starts0 = np.array([f[0] for f in fragments], dtype=np.int64)
+        self.keys = pack_keys(shifted, starts0, self.lens, int(self.lens.max(initial=0)))
 
     def sets(self):
-        base = [(i, ()) for i in range(len(self.fragments))]
-        yield from self._levels(base, self.k)
+        """Yield the family's sets, unsorted."""
+        yield from self._levels([(i, ()) for i in range(len(self.fragments))], self.k)
 
     def _levels(self, entries, d):
-        current = self._sort_set(entries)
         if d == 0:
-            yield current
+            yield entries
             return
-        for child_entries in self._split(current):
+        for child_entries in self._split(entries, *self._sort_set(entries)):
             yield from self._levels(child_entries, d - 1)
 
-    # -- even level: pivot-split sorting ---------------------------------
+    def keys_of(self, src, deltas):
+        """Packed keys of the modified strings (src[i], deltas[i])."""
+        keys = self.keys[:, src]
+        per = 64 // self.bits
+        slot = np.uint64((1 << self.bits) - 1)
+        for step in range(max(map(len, deltas), default=0)):
+            # One substitution per string and step, so two in one word both land.
+            rows = np.array([r for r, d in enumerate(deltas) if len(d) > step])
+            pos, letter = np.array([deltas[r][step] for r in rows]).T
+            word, at = np.divmod(pos - 1, per)
+            shift = (self.bits * (per - 1 - at)).astype(np.uint64)
+            code = (letter - self.lo + 1).astype(np.uint64)  # a slot holds code + 1
+            keys[word, rows] = (keys[word, rows] & ~(slot << shift)) | (code << shift)
+        return keys
 
     def _sort_set(self, entries):
-        m = len(entries)
-        if m == 0:
-            return entries, [], []
-        piv = max(range(m), key=lambda i: (max((p for p, _ in entries[i][1]), default=0), -i))
-        pf, pd = self._frag(entries[piv]), entries[piv][1]
-        ls = [
-            _lcp_modified(self.idx, self.codes, self._frag(e), e[1], pf, pd)
-            for e in entries
-        ]
-        lens = [self._frag(e)[1] for e in entries]
-        plen = lens[piv]
-        less, equal, greater = [], [], []
-        for i, e in enumerate(entries):
-            l = ls[i]
-            if l == lens[i] == plen:
-                equal.append(i)
-            elif l == lens[i] and lens[i] < plen:
-                less.append(i)
-            elif l == plen and plen < lens[i]:
-                greater.append(i)
-            else:
-                a = _letter(self.codes, self._frag(e)[0], e[1], l + 1)
-                b = _letter(self.codes, pf[0], pd, l + 1)
-                (less if a < b else greater).append(i)
-
-        def tail_cmp(i, j):
-            l = min(ls[i], ls[j])
-            fa, fb = self._frag(entries[i]), self._frag(entries[j])
-            return _compare_tail(
-                self.idx, self.codes, fa[0] + l, lens[i] - l, fb[0] + l, lens[j] - l
-            )
-
-        less.sort(key=lambda i: (ls[i],))
-        greater.sort(key=lambda i: (-ls[i],))
-        # Within one LCP bucket the remaining order is the plain-text tails'.
-        for bucket_ids, keyfun in ((less, lambda i: ls[i]), (greater, lambda i: -ls[i])):
-            start = 0
-            while start < len(bucket_ids):
-                end = start
-                while end < len(bucket_ids) and keyfun(bucket_ids[end]) == keyfun(bucket_ids[start]):
-                    end += 1
-                chunk = sorted(bucket_ids[start:end], key=functools.cmp_to_key(tail_cmp))
-                bucket_ids[start:end] = chunk
-                start = end
-        order = less + equal + greater
-        lcps = [
-            _lcp_modified(
-                self.idx, self.codes,
-                self._frag(entries[order[r]]), entries[order[r]][1],
-                self._frag(entries[order[r + 1]]), entries[order[r + 1]][1],
-            )
-            for r in range(m - 1)
-        ]
-        return entries, order, lcps
+        """(order, adjacent LCPs) of a set's modified strings: one key sort."""
+        src = [e[0] for e in entries]
+        keys = self.keys_of(src, [e[1] for e in entries])
+        return _sort_keys(keys, self.lens[src], self.bits)
 
     def _frag(self, entry):
         return self.fragments[entry[0]]
 
-    # -- odd level: heavy-light split -------------------------------------
+    # -- heavy-light split ------------------------------------------------
 
-    def _split(self, current):
-        entries, order, lcps = current
+    def _split(self, entries, order, lcps):
         if not entries:
             return
         lens = [self._frag(entries[i])[1] for i in order]
@@ -336,7 +242,6 @@ class _CompleteFamily:
         ells = _RankLcp(trie).lcp_many(
             trie.leaf_rank[on[pos]], trie.leaf_rank[np.repeat(hw, size)]
         ).tolist()
-        order = np.asarray(order)
         sub, pivots, stop = order[pos].tolist(), order[below[hw]].tolist(), stop.tolist()
         for pivot, a, b in zip(pivots, [0] + stop[:-1], stop):
             pivot_entry = entries[pivot]
@@ -362,68 +267,64 @@ class _CompleteFamily:
                 yield child
 
 
-def _bicomplete_batches(idx, codes, pairs, k1, k2, counters):
-    """Stream the (k1,k2)-bicomplete family of `pairs` in budgeted batches.
+def _families(codes, pairs, k1, k2, counters):
+    """The complete families of the pairs' first and second fragments."""
+    return (
+        _CompleteFamily(codes, [p[0] for p in pairs], k1, counters),
+        _CompleteFamily(codes, [p[1] for p in pairs], k2, counters),
+    )
 
-    Yields lists of product sets; a product set is a list of 6-tuples
-    (pair_idx, delta1, rank1, delta2, rank2) sharing one (set1, set2) origin,
-    ordered by rank1 (the rank2 order is a stable re-sort away).
+
+def _bicomplete_batches(fam1, fam2, counters):
+    """Stream the (k1,k2)-bicomplete family of the pairs whose fragments
+    fam1 and fam2 hold, in budgeted batches.
+
+    Yields lists of product sets; a product set is a list of
+    (pair_idx, delta1, delta2) triples sharing one (set1, set2) origin.
     """
-    budget = len(codes) + len(pairs)
+    budget = len(fam1.codes) + len(fam1.fragments)
     counters.batch_budget = budget
-    frags1 = [p[0] for p in pairs]
-    frags2 = [p[1] for p in pairs]
-    by_src1 = {}
-    fam1 = _CompleteFamily(idx, codes, frags1, k1, counters)
-    fam2 = _CompleteFamily(idx, codes, frags2, k2, counters)
 
-    def flush_product(triples):
-        # One batch of F1 triples: run the full F2 stream against it.
-        six = []
-        set2_id = 0
-        for entries2, order2, _l2 in fam2.sets():
-            before = len(six)
-            for r2, ei in enumerate(order2):
-                src, d2 = entries2[ei]
-                for (d1, r1, s1) in triples.get(src, ()):
-                    six.append((src, d1, r1, s1, d2, r2, set2_id))
-            set2_id += 1
-            counters.batch_slack = max(counters.batch_slack, len(six) - before)
-            counters.batch_peak = max(counters.batch_peak, len(six))
-            if len(six) >= budget:
-                yield _group_six(six)
-                six = []
-        if six:
-            yield _group_six(six)
+    def flush_product(by_src):
+        # One batch of F1 entries: run the full F2 stream against it.
+        products = []
+        for set2, entries2 in enumerate(fam2.sets()):
+            before = len(products)
+            for src, d2 in entries2:
+                for d1, set1 in by_src.get(src, ()):
+                    products.append((src, d1, set1, d2, set2))
+            counters.batch_slack = max(counters.batch_slack, len(products) - before)
+            counters.batch_peak = max(counters.batch_peak, len(products))
+            if len(products) >= budget:
+                yield _group_products(products)
+                products = []
+        if products:
+            yield _group_products(products)
 
-    triples = {}
-    total = 0
-    set1_id = 0
-    for entries1, order1, _l1 in fam1.sets():
-        for r1, ei in enumerate(order1):
-            src, d1 = entries1[ei]
-            triples.setdefault(src, []).append((d1, r1, set1_id))
-        counters.batch_slack = max(counters.batch_slack, len(order1))
-        total += len(order1)
+    by_src, total = {}, 0
+    for set1, entries1 in enumerate(fam1.sets()):
+        for src, d1 in entries1:
+            by_src.setdefault(src, []).append((d1, set1))
+        counters.batch_slack = max(counters.batch_slack, len(entries1))
+        total += len(entries1)
         counters.batch_peak = max(counters.batch_peak, total)
-        set1_id += 1
         if total >= budget:
             counters.batches += 1
-            yield from flush_product(triples)
-            triples, total = {}, 0
+            yield from flush_product(by_src)
+            by_src, total = {}, 0
     if total:
         counters.batches += 1
-        yield from flush_product(triples)
+        yield from flush_product(by_src)
 
 
-def _group_six(six):
+def _group_products(products):
     groups = {}
-    for t in six:
-        groups.setdefault((t[3], t[6]), []).append(t)
+    for src, d1, set1, d2, set2 in products:
+        groups.setdefault((set1, set2), []).append((src, d1, d2))
     return list(groups.values())
 
 
-def max_pair_lcp_k(text, u_pairs, v_pairs, k1, k2, ell, index=None):
+def max_pair_lcp_k(text, u_pairs, v_pairs, k1, k2, ell):
     """maxPairLCP_{k1,k2} of two families of fragment pairs of one text.
 
     text: code array or bytes/str; fragment pairs are ((start, len), (start,
@@ -433,55 +334,39 @@ def max_pair_lcp_k(text, u_pairs, v_pairs, k1, k2, ell, index=None):
     counters = FamilyCounters()
     if not u_pairs or not v_pairs:
         return KPairResult(0, None, counters)
-    if index is None:
-        index = SuffixIndex(codes)
-    pairs = []
-    origins = []
-    for fam, tagv in ((u_pairs, 0), (v_pairs, 1)):
-        for (s1, l1), (s2, l2) in fam:
-            _check_frag(codes, s1, l1)
-            _check_frag(codes, s2, l2)
-            if l1 > ell or l2 > ell:
-                raise PackedLcsError("fragment exceeds the (ell, ell) bound")
-            pairs.append(((s1 - 1, l1), (s2 - 1, l2)))
-            origins.append(tagv)
+    pairs = _zero_based(codes, [*u_pairs, *v_pairs])
+    if any(l > ell for pair in pairs for _, l in pair):
+        raise PackedLcsError("fragment exceeds the (ell, ell) bound")
     n_u = len(u_pairs)
+    origins = [0] * n_u + [1] * len(v_pairs)
+    fam1, fam2 = _families(codes, pairs, k1, k2, counters)
 
     best_val, best_wit = -1, None
     pool, pool_size = [], 0
-    pool_cap = max(1, len(pairs))
 
     def flush_pool():
         nonlocal best_val, best_wit, pool, pool_size
         if not pool:
             return
-        val, wit = _solve_merged(index, codes, pairs, pool, ell, len(pairs), counters)
+        val, wit = _solve_merged(fam1, fam2, pool, counters)
         if wit is not None and val > best_val:
             best_val, best_wit = val, wit
         pool, pool_size = [], 0
 
-    for batch in _bicomplete_batches(index, codes, pairs, k1, k2, counters):
+    for batch in _bicomplete_batches(fam1, fam2, counters):
         for gset in batch:
             counters.family_total += len(gset)
             for u_set, v_set in _delta_subset_groups(gset, origins, k1, k2):
                 pool.append((u_set, v_set))
                 pool_size += len(u_set) + len(v_set)
-                if pool_size >= pool_cap:
+                if pool_size >= len(pairs):
                     flush_pool()
     flush_pool()
-    # Defensive floor; the bicomplete guarantee means this never triggers.
+    # The root's child set keeps every unmodified entry at each level, so
+    # some pool holds every unmodified U and V pair, which score at least 2.
     if best_wit is None:
-        best_wit = (0, n_u)
-        best_val = _direct_value(index, pairs[0], pairs[n_u], k1, k2)
+        raise PackedLcsError("internal: no merged solve found a U-V pair")
     return KPairResult(best_val, (best_wit[0], best_wit[1] - n_u), counters)
-
-
-def _direct_value(idx, pu, pv, k1, k2):
-    (a1, la1), (a2, la2) = pu
-    (b1, lb1), (b2, lb2) = pv
-    return _lcp_k_frag(idx, a1, la1, b1, lb1, k1) + _lcp_k_frag(
-        idx, a2, la2, b2, lb2, k2
-    )
 
 
 def _as_codes(text):
@@ -496,11 +381,21 @@ def _check_frag(codes, start, length):
         raise PackedLcsError(f"fragment ({start}, {length}) out of range")
 
 
+def _zero_based(codes, pairs):
+    """Checked fragment pairs with 0-based starts."""
+    out = []
+    for (s1, l1), (s2, l2) in pairs:
+        _check_frag(codes, s1, l1)
+        _check_frag(codes, s2, l2)
+        out.append(((s1 - 1, l1), (s2 - 1, l2)))
+    return out
+
+
 def _delta_subset_groups(gset, origins, k1, k2):
     """delta-subset grouping with modification budgets d1, d2."""
     subgroups = {}
     for t in gset:
-        pair_idx, d1, r1, _s1, d2, r2, _s2 = t
+        _pair_idx, d1, d2 = t
         for m1 in range(1 << len(d1)):
             sub1 = tuple(d1[b] for b in range(len(d1)) if (m1 >> b) & 1)
             for m2 in range(1 << len(d2)):
@@ -511,113 +406,77 @@ def _delta_subset_groups(gset, origins, k1, k2):
             for bd2 in range(k2 + 1):
                 u_set = [
                     t for t in members
-                    if origins[t[0]] == 0 and len(t[1]) <= bd1 and len(t[4]) <= bd2
+                    if origins[t[0]] == 0 and len(t[1]) <= bd1 and len(t[2]) <= bd2
                 ]
                 v_set = [
                     t for t in members
                     if origins[t[0]] == 1
                     and len(t[1]) <= k1 + len(sub1) - bd1
-                    and len(t[4]) <= k2 + len(sub2) - bd2
+                    and len(t[2]) <= k2 + len(sub2) - bd2
                 ]
                 if u_set and v_set:
                     yield u_set, v_set
 
 
-def _solve_merged(idx, codes, pairs, pool, ell, n_bound, counters):
+def _solve_merged(fam1, fam2, pool, counters):
     """Merge the pooled (U', V') sets under length-1 edges and solve once.
 
-    The per-set sorted orders come from the stored within-set ranks; the
-    artificial length-1 edge letters are the pool indices j, so the
-    concatenation of the j-sets in j order is itself sorted, with LCP 0 across
-    set boundaries and 1 + modified-LCP inside one set."""
+    The artificial length-1 edge letters are the pool indices j, so each side
+    sorts by (j, packed key of its modified string), with LCP 0 across sets
+    and 1 + the key LCP inside one."""
     counters.solver_calls += 1
-    elems = []  # (j, pair_idx, origin_tag, d1, r1, d2, r2)
-    for j, (u_set, v_set) in enumerate(pool):
-        for t in u_set:
-            elems.append((j, t[0], 0, t[1], t[2], t[4], t[5]))
-        for t in v_set:
-            elems.append((j, t[0], 1, t[1], t[2], t[4], t[5]))
+    elems = [
+        (j, tag, t) for j, sets in enumerate(pool) for tag, side in enumerate(sets) for t in side
+    ]
+    j = np.array([e[0] for e in elems])
+    in_q = np.array([e[1] for e in elems], dtype=bool)
+    pair_of = np.array([e[2][0] for e in elems])
 
-    def build_side(coord, rank_pos, delta_pos):
-        order = sorted(
-            range(len(elems)), key=lambda i: (elems[i][0], elems[i][rank_pos], i)
-        )
-        lengths, lcps = [], []
-        for r, i in enumerate(order):
-            e = elems[i]
-            f = pairs[e[1]][coord]
-            lengths.append(f[1] + 1)
-            if r:
-                p = elems[order[r - 1]]
-                if p[0] != e[0]:
-                    lcps.append(0)
-                else:
-                    fp = pairs[p[1]][coord]
-                    lcps.append(
-                        1 + _lcp_modified(idx, codes, fp, p[delta_pos], f, e[delta_pos])
-                    )
-        trie = build_compacted_trie(lengths, lcps, order)
-        leaf = np.empty(len(elems), dtype=np.int64)
-        leaf[order] = trie.leaf_of_input
-        return trie, leaf
+    def build_side(fam, coord):
+        lens = fam.lens[pair_of]
+        keys = fam.keys_of(pair_of, [e[2][coord] for e in elems])
+        order, lcps = _sort_keys(keys, lens, fam.bits, major=j)
+        jo = j[order]
+        return _sorted_trie(order, lens[order] + 1, np.where(jo[:-1] == jo[1:], lcps + 1, 0))
 
-    trie1, leaf1 = build_side(0, 4, 3)
-    trie2, leaf2 = build_side(1, 6, 5)
-    in_q = np.array([e[2] for e in elems], dtype=bool)
-    pair_of = np.array([e[1] for e in elems])
-    p_ids, q_ids = pair_of[~in_q].tolist(), pair_of[in_q].tolist()
+    trie1, leaf1 = build_side(fam1, 1)
+    trie2, leaf2 = build_side(fam2, 2)
     both = np.stack([leaf1, leaf2], axis=1)
-    inst = TwoFamiliesInstance(trie1, trie2, both[~in_q], both[in_q])
-    if ell > max(1.0, math.log2(max(2, n_bound))) ** 1.5:
-        res = max_pair_lcp_general(inst)
-    else:
-        res = solve_alpha_beta(inst, ell + 1, ell + 1)
+    res = max_pair_lcp_general(TwoFamiliesInstance(trie1, trie2, both[~in_q], both[in_q]))
     if res.witness is None or res.value < 2:
         return 0, None
     pi, qi = res.witness
-    return res.value - 2, (p_ids[pi], q_ids[qi])
+    return res.value - 2, (int(pair_of[~in_q][pi]), int(pair_of[in_q][qi]))
 
 
-def build_complete_family(text, fragments, k, index=None):
+def build_complete_family(text, fragments, k):
     """Stream the sets of a k-complete family for text fragments.
 
     fragments: list of (start, length) with 1-based starts.  Yields one list
     per set, lexicographically sorted, of (fragment_index, delta) entries.
     """
     codes = _as_codes(text)
-    if index is None:
-        index = SuffixIndex(codes)
     frags0 = []
     for s, l in fragments:
         _check_frag(codes, s, l)
         frags0.append((s - 1, l))
-    counters = FamilyCounters()
-    fam = _CompleteFamily(index, codes, frags0, k, counters)
-    for entries, order, _lcps in fam.sets():
+    fam = _CompleteFamily(codes, frags0, k, FamilyCounters())
+    for entries in fam.sets():
+        order, _lcps = fam._sort_set(entries)
         yield [entries[i] for i in order]
 
 
-def build_bicomplete_family(text, pairs, k1, k2, index=None, counters=None):
+def build_bicomplete_family(text, pairs, k1, k2, counters=None):
     """Stream batches of the (k1,k2)-bicomplete family of fragment pairs.
 
     pairs: ((start, len), (start, len)) with 1-based starts.  Yields batches;
     each batch is a list of sets; each set is a list of
-    (pair_index, delta1, rank1, delta2, rank2) tuples ordered by rank1.
+    (pair_index, delta1, delta2) triples.
     """
     codes = _as_codes(text)
-    if index is None:
-        index = SuffixIndex(codes)
-    pairs0 = []
-    for (s1, l1), (s2, l2) in pairs:
-        _check_frag(codes, s1, l1)
-        _check_frag(codes, s2, l2)
-        pairs0.append(((s1 - 1, l1), (s2 - 1, l2)))
-    if counters is None:
-        counters = FamilyCounters()
-    for batch in _bicomplete_batches(index, codes, pairs0, k1, k2, counters):
-        yield [
-            [(t[0], t[1], t[2], t[4], t[5]) for t in gset] for gset in batch
-        ]
+    counters = FamilyCounters() if counters is None else counters
+    fam1, fam2 = _families(codes, _zero_based(codes, pairs), k1, k2, counters)
+    yield from _bicomplete_batches(fam1, fam2, counters)
 
 
 # -- anchors -----------------------------------------------------------------
@@ -706,8 +565,6 @@ def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):
     """Brute maxPairLCP over the cross product of anchor positions with
     ell-capped extensions (vectorized kangaroo, chunked)."""
     idx = ctx.index()
-    if idx._rank_tables is None:
-        idx._rank_tables = idx._build_rank_tables()
     comb = ctx.combined()
     ns, nt = ctx.ns, ctx.nt
     best = (0, 1, 1)
@@ -773,7 +630,7 @@ def _family_leg(ctx, a_s, a_t, ell, k, counters):
     v_pairs = fam(a_t, nt, comb.offsets["T"], comb.offsets["T_rev"])
     best = None
     for kk in range(k + 1):
-        res = max_pair_lcp_k(codes, u_pairs, v_pairs, kk, k - kk, ell, index=idx)
+        res = max_pair_lcp_k(codes, u_pairs, v_pairs, kk, k - kk, ell)
         counters.merge(res.counters)
         if res.witness is not None and (best is None or res.value > best[0]):
             ui, vi = res.witness
@@ -781,7 +638,7 @@ def _family_leg(ctx, a_s, a_t, ell, k, counters):
             b = int(a_t[vi])
             (r1, l1), _ = u_pairs[ui]
             (r2, l2), _ = v_pairs[vi]
-            lam = _lcp_k_frag(idx, r1 - 1, l1, r2 - 1, l2, kk)
+            lam = int(_vec_lcp_k(idx, *np.array([[r1 - 1], [l1], [r2 - 1], [l2]]), kk)[0])
             best = (res.value, a - lam, b - lam)
     return best
 
@@ -792,8 +649,8 @@ def klcs(s, t, k):
         raise PackedLcsError(
             f"k={k} exceeds the supported cap {K_CAP}; use oracles.klcs_dp"
         )
-    base = lcs(s, t)
     ctx = _Ctx(s, t)
+    base = lcs(ctx, t)
     counters = FamilyCounters()
     if ctx.ns == 0 or ctx.nt == 0:
         return KlcsResult(0, 1, 1, (), counters)

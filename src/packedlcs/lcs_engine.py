@@ -538,8 +538,9 @@ def _medium_periodic(ctx, runs, case):
 
 
 def lcs(s, t):
-    """Exact LCS of two byte strings with witness positions."""
-    ctx = _Ctx(s, t)
+    """Exact LCS of two byte strings with witness positions.  s may instead
+    be a _Ctx whose indexes a caller goes on to share; t is then unused."""
+    ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
     tau, m_short, cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)

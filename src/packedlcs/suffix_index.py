@@ -1,11 +1,11 @@
 """Suffix-array backed LCE queries and compacted tries.
 
 The suffix array is built by numpy prefix doubling (one int64 key sort per
-round, early exit once ranks are distinct), the LCP array is read from that
-doubling's rank tables level by level, and range minima come from a sparse
-table built on the first scalar LCE query.  A compacted trie of a sorted list
-with adjacent LCPs is its LCP-interval tree, built with numpy from
-nearest-smaller-value queries: int arrays by node id, ids in preorder.
+round, early exit once ranks are distinct), and both the LCP array and
+batched LCE queries are read from that doubling's rank tables level by
+level.  A compacted trie of a sorted list with adjacent LCPs is its
+LCP-interval tree, built with numpy from nearest-smaller-value queries: int
+arrays by node id, ids in preorder.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ class SparseRmq:
 
 
 class SuffixIndex:
-    """Suffix array + inverse + LCP (+ RMQ on first use) over a code sequence.
+    """Suffix array + inverse + LCP over a code sequence.
 
-    Exposes O(1) longest-common-extension queries between suffixes, one at
-    a time (lce) or batched over position arrays (lce_bulk).
+    Longest-common-extension queries between suffixes are batched over
+    position arrays (lce_bulk); lce answers one pair.
     """
 
     def __init__(self, codes, keep_rank_tables=False):
@@ -129,32 +129,23 @@ class SuffixIndex:
         self.lcp = _lcp_from_ranks(self.sa, ranks)
         self._rank_tables = ranks if keep_rank_tables else None
 
-    @cached_property
-    def rmq(self):
-        """Range minima over the LCP array, built for the first lce call."""
-        return SparseRmq(self.lcp)
-
     def lce(self, i, j):
         """LCP of suffixes starting at 1-based positions i and j."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise PackedLcsError(f"suffix position out of range: {i}, {j}")
-        if i == j:
-            return self.n - i + 1
-        ri, rj = int(self.isa[i - 1]), int(self.isa[j - 1])
-        if ri > rj:
-            ri, rj = rj, ri
-        return self.rmq.query(ri + 1, rj + 1)
+        return int(self.lce_bulk([i], [j])[0])
 
     def _build_rank_tables(self):
         # tables[level][i] = rank of the length-2^level prefix of suffix i.
         return _prefix_doubling(self.codes, keep_ranks=True)[1]
 
     def lce_bulk(self, i_arr, j_arr):
-        """Vectorized lce over 1-based position arrays (needs rank tables)."""
-        if self._rank_tables is None:
-            self._rank_tables = self._build_rank_tables()
+        """LCPs of the suffixes at 1-based position arrays i_arr and j_arr,
+        read from the rank tables (built on the first call)."""
         i = np.asarray(i_arr, dtype=np.int64) - 1
         j = np.asarray(j_arr, dtype=np.int64) - 1
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n):
+            raise PackedLcsError(f"suffix position out of range [1, {self.n}]")
+        if self._rank_tables is None:
+            self._rank_tables = self._build_rank_tables()
         res = np.zeros(i.shape, dtype=np.int64)
         # Past the last table, whose ranks are all distinct, every level's
         # ranks equal it: only a suffix paired with itself matches there.

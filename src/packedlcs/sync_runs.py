@@ -76,7 +76,8 @@ def window_ranks(codes, tau):
     m = codes.size - tau + 1
     if m <= 0:
         return np.empty(0, dtype=np.int64)
-    keys = pack_keys(codes, np.arange(m), np.full(m, tau), tau)
+    # pack_keys needs non-negative codes; a shift keeps their order.
+    keys = pack_keys(codes - codes.min(), np.arange(m), np.full(m, tau), tau)
     _, rank = np.unique(keys[0], return_inverse=True)
     for word in keys[1:]:
         _, sub = np.unique(word, return_inverse=True)

@@ -3,7 +3,9 @@
 Strings are remapped onto a dense code alphabet [0, sigma) and kept as int64
 numpy code arrays.  Where word parallelism pays, fragments of a code array
 are packed into uint64 sort keys by one packer, pack_keys: the regimes' fragment
-sort (_sort_packed_fragments) and the sync set's window ranks both read it.
+sort (_sort_packed_fragments), the sync set's window ranks and the k-LCS
+modified-string keys all read it, and _sort_keys orders keys and reads their
+adjacent LCPs.
 Positions are 1-based throughout the public API; numpy internals are 0-based.
 
 The combined text used by the long-range machinery is
@@ -124,8 +126,11 @@ def pack_keys(codes, starts0, lens, width):
     symbols per word, first symbol highest, over ceil(width / (64 // bits))
     words.  Slots past a fragment's length are 0, so comparing keys word by
     word orders fragments lexicographically, a prefix before its extensions.
+    Codes must be >= 0: a negative code + 1 would wrap or read as an end.
     """
     n = len(codes)
+    if n and int(codes.min()) < 0:
+        raise PackedLcsError("pack_keys needs codes >= 0")
     bits = symbol_bits(codes)
     per = 64 // bits
     n_words = max(1, -(-width // per))
@@ -160,19 +165,24 @@ def _bitlen_u64(x):
 
 def _sort_packed_fragments(codes, starts0, lens, width):
     """Sort fragments of at most width symbols by their pack_keys; return
-    (order, adjacent LCPs of the sorted list).
-
-    One stable lexsort (word 0 primary) orders the keys, and the first
-    differing word of each adjacent pair gives its count of common leading
-    symbols.
-    """
+    (order, adjacent LCPs of the sorted list)."""
     keys = pack_keys(codes, starts0, lens, width)
-    order = np.lexsort(keys[::-1])
-    m = len(starts0)
+    return _sort_keys(keys, lens, symbol_bits(codes))
+
+
+def _sort_keys(keys, lens, bits, major=None):
+    """(order, adjacent LCPs) of packed keys of bits-wide symbols, one column
+    per string of length lens[i].
+
+    One stable lexsort (word 0 primary, after major if given) orders the
+    keys, and the first differing word of each adjacent pair gives its count
+    of common leading symbols.
+    """
+    order = np.lexsort(keys[::-1] if major is None else (*keys[::-1], major))
+    m = keys.shape[1]
     if m < 2:
         return order, np.empty(0, dtype=np.int64)
     n_words = keys.shape[0]
-    bits = symbol_bits(codes)
     per = 64 // bits
     ks = keys[:, order]
     x = ks[:, :-1] ^ ks[:, 1:]

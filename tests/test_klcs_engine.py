@@ -3,7 +3,7 @@ import pytest
 
 from packedlcs.klcs_engine import (
     FamilyCounters,
-    ModifiedString,
+    _CompleteFamily,
     build_bicomplete_family,
     build_complete_family,
     is_maxpair,
@@ -99,15 +99,6 @@ def test_maxpair_facts_random():
                 assert got <= lcp_k_naive(u, v, k)
 
 
-def test_modified_string_validation():
-    codes = np.frombuffer(b"abcabc", dtype=np.uint8).astype(np.int64)
-    ModifiedString(0, 6, ((2, ord("x")),)).validate(codes, k=1)
-    with pytest.raises(PackedLcsError):
-        ModifiedString(0, 6, ((2, ord("b")),)).validate(codes)  # same letter
-    with pytest.raises(PackedLcsError):
-        ModifiedString(0, 6, ((7, ord("x")),)).validate(codes)  # out of range
-
-
 # -- complete / bicomplete families --
 
 
@@ -131,6 +122,38 @@ def check_complete(text, fragments, k, sets):
             assert found, (i, j, u, v, k)
 
 
+def sorted_sets(text, fragments, k):
+    """The sets of the k-complete family, each ordered by _sort_set and
+    checked against the materialised modified strings: sorted, with the
+    adjacent LCPs that _sort_set reports."""
+    codes = np.frombuffer(text, dtype=np.uint8).astype(np.int64)
+    fam = _CompleteFamily(codes, [(s - 1, l) for s, l in fragments], k, FamilyCounters())
+    out = []
+    for entries in fam.sets():
+        order, lcps = fam._sort_set(entries)
+        st = [entries[i] for i in order]
+        vals = [apply_delta(substr(text, fragments[src]), d) for src, d in st]
+        assert vals == sorted(vals)
+        assert lcps.tolist() == [lcp_k_naive(a, b, 0) for a, b in zip(vals, vals[1:])]
+        out.append(st)
+    return out
+
+
+def word_text(rng):
+    """All 256 byte values, which make 9-bit symbols, 7 to a packed word,
+    then a noisy binary repeat of period 13 whose fragments share prefixes
+    over several words."""
+    tail = bytearray(rand_bytes(rng, 13, 2) * 12)
+    for p in rng.integers(0, len(tail), size=12):
+        tail[p] ^= 3
+    return bytes(range(256)) + bytes(tail)
+
+
+def word_starts(rng, size):
+    """Starts in the repeat of word_text, mostly in phase with each other."""
+    return 257 + 13 * rng.integers(0, 9, size=size) + rng.integers(0, 2, size=size)
+
+
 def test_complete_family_k0():
     text = b"abracadabra"
     frags = [(1, 4), (4, 4), (8, 4)]
@@ -150,6 +173,7 @@ def test_complete_family_small_example():
 
 def test_complete_family_random():
     rng = np.random.default_rng(72)
+    inputs = []
     for k in (1, 2):
         for _ in range(6):
             n = int(rng.integers(20, 60))
@@ -160,16 +184,31 @@ def test_complete_family_random():
                 l = int(rng.integers(0, min(8, n) + 1))
                 s = int(rng.integers(1, n - l + 2))
                 frags.append((s, l))
-            sets = list(build_complete_family(text, frags, k))
-            check_complete(text, frags, k, sets)
-            # per-set per-source multiplicity <= 2^k, sets sorted
-            for st in sets:
-                per = {}
-                for src, d in st:
-                    per[src] = per.get(src, 0) + 1
-                assert max(per.values()) <= 2**k
-                vals = [apply_delta(substr(text, frags[src]), d) for src, d in st]
-                assert vals == sorted(vals)
+            inputs.append((text, frags, k))
+    # One more input: fragments of 16 to 30 9-bit symbols span three to five
+    # words, so substitutions fall in different words, and two may share one.
+    rng = np.random.default_rng(90)
+    text = word_text(rng)
+    frags = [(int(a), int(rng.integers(16, 31))) for a in word_starts(rng, 8)]
+    inputs += [(text, frags, 1), (text, frags, 2)]
+    words, pair_words = set(), []
+    for text, frags, k in inputs:
+        sets = sorted_sets(text, frags, k)
+        assert list(build_complete_family(text, frags, k)) == sets
+        check_complete(text, frags, k, sets)
+        # per-set per-source multiplicity <= 2^k
+        for st in sets:
+            per = {}
+            for src, d in st:
+                per[src] = per.get(src, 0) + 1
+                if len(text) > 256:
+                    w = {(p - 1) // 7 for p, _ in d}
+                    words |= w
+                    if len(d) == 2:
+                        pair_words.append(len(w))
+            assert max(per.values()) <= 2**k
+    assert {0, 1, 2} <= words
+    assert 1 in pair_words and 2 in pair_words
 
 
 def test_bicomplete_family_basic():
@@ -190,8 +229,8 @@ def test_bicomplete_family_basic():
         for j, (g1, g2) in enumerate(pairs):
             ok = False
             for st in sets:
-                es_i = [(d1, d2) for (src, d1, _r1, d2, _r2) in st if src == i]
-                es_j = [(d1, d2) for (src, d1, _r1, d2, _r2) in st if src == j]
+                es_i = [(d1, d2) for (src, d1, d2) in st if src == i]
+                es_j = [(d1, d2) for (src, d1, d2) in st if src == j]
                 for d1, d2 in es_i:
                     for n1, n2 in es_j:
                         if is_maxpair(substr(text, f1), substr(text, g1), 1, d1, n1) and is_maxpair(
@@ -242,6 +281,7 @@ def test_max_pair_k_hand_example():
 
 def test_max_pair_k_vs_brute_random():
     rng = np.random.default_rng(75)
+    inputs = []
     for trial in range(60):
         n = int(rng.integers(16, 60))
         text = rand_bytes(rng, n, int(rng.integers(2, 4)))
@@ -259,18 +299,48 @@ def test_max_pair_k_vs_brute_random():
 
         U = fam(int(rng.integers(1, 8)))
         V = fam(int(rng.integers(1, 8)))
-        k1, k2 = [(1, 0), (0, 1), (1, 1), (2, 1)][trial % 4]
+        inputs.append((text, U, V, *[(1, 0), (0, 1), (1, 1), (2, 1)][trial % 4], ell))
+    # One more input: 9-bit symbols, 7 to a word, over fragments of 10 to 30.
+    rng = np.random.default_rng(87)
+    text = word_text(rng)
+
+    def word_fam(sz):
+        return [
+            ((s1, int(rng.integers(10, 31))), (s2, int(rng.integers(10, 31))))
+            for s1, s2 in word_starts(rng, (sz, 2)).tolist()
+        ]
+
+    for k1, k2 in ((1, 1), (2, 1), (1, 2)):
+        inputs.append((text, word_fam(6), word_fam(6), k1, k2, 30))
+    for text, U, V, k1, k2, ell in inputs:
         res = max_pair_lcp_k(text, U, V, k1, k2, ell)
         bu = [(substr(text, a), substr(text, b)) for a, b in U]
         bv = [(substr(text, a), substr(text, b)) for a, b in V]
         want, _ = brute_max_pair_lcp(bu, bv, k1, k2)
-        assert res.value == want, (trial, k1, k2)
+        assert res.value == want, (text, k1, k2)
         if res.witness:
             ui, vi = res.witness
             got = lcp_k_naive(bu[ui][0], bv[vi][0], k1) + lcp_k_naive(
                 bu[ui][1], bv[vi][1], k2
             )
             assert got == want
+
+
+def test_families_ignore_a_shift_of_the_codes():
+    # Keys hold codes shifted to start at 0; deltas keep the caller's letters.
+    rng = np.random.default_rng(84)
+    codes = rng.integers(0, 3, size=60).astype(np.int64)
+    frags = [(int(s), 9) for s in rng.integers(1, 52, size=6)]
+    shifted = [
+        [(src, tuple((p, c + 7) for p, c in d)) for src, d in st]
+        for st in build_complete_family(codes, frags, 2)
+    ]
+    assert list(build_complete_family(codes + 7, frags, 2)) == shifted
+    pairs = [((int(a), 9), (int(b), 9)) for a, b in rng.integers(1, 52, size=(8, 2))]
+    for k1, k2 in ((1, 0), (1, 1), (0, 2)):
+        want = max_pair_lcp_k(codes, pairs[:4], pairs[4:], k1, k2, 9)
+        got = max_pair_lcp_k(codes - 7, pairs[:4], pairs[4:], k1, k2, 9)
+        assert (got.value, got.witness) == (want.value, want.witness)
 
 
 def test_family_growth_bounds():
@@ -451,6 +521,26 @@ def test_klcs_driver_family_legs_forced():
             assert got.counters.family_total > 0  # machinery actually ran
     finally:
         ke.FORCE_FAMILY_LEGS = old
+
+
+def test_klcs_indexes_the_combined_text_once(monkeypatch):
+    # lcs and the k-LCS legs share one context, so one index over S#S^R#T#T^R.
+    from packedlcs.suffix_index import SuffixIndex
+
+    sizes = []
+    init = SuffixIndex.__init__
+
+    def spy(self, codes, *args, **kwargs):
+        sizes.append(len(codes))
+        init(self, codes, *args, **kwargs)
+
+    monkeypatch.setattr(SuffixIndex, "__init__", spy)
+    rng = np.random.default_rng(85)
+    s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
+    res = klcs(s, t, 1)
+    assert res.length == klcs_dp(s, t, 1)[0]
+    assert res.counters.solver_calls > 0
+    assert sizes.count(4 * 300 + 4) == 1
 
 
 def test_misperiod_disjointness_claim():

@@ -18,7 +18,7 @@ from packedlcs.lcs_engine import (
 )
 from packedlcs.oracles import lcs_dp
 from packedlcs.sync_runs import TauRuns
-from packedlcs.text_core import PackedLcsError, _bitlen_u64, _sort_packed_fragments
+from packedlcs.text_core import PackedLcsError, _bitlen_u64, _sort_packed_fragments, pack_keys
 
 
 def rand_bytes(rng, n, sigma):
@@ -483,6 +483,16 @@ def test_packed_sort_byte_alphabet():
         strings = [tuple(codes[a : a + ln].tolist()) for a, ln in zip(starts, lens)]
         assert [strings[i] for i in order.tolist()] == [strings[i] for i in want_order]
         assert lcps.tolist() == want_lcps
+
+
+def test_pack_keys_rejects_negative_codes():
+    # A key holds code + 1 in a uint64 slot: a code below 0 would wrap or
+    # read as the end of a fragment.
+    codes = np.array([2, 0, 1, 3], dtype=np.int64)
+    assert pack_keys(codes, np.array([0]), np.array([4]), 4).shape == (1, 1)
+    for bad in (codes - 1, codes - 5):
+        with pytest.raises(PackedLcsError):
+            pack_keys(bad, np.array([0]), np.array([4]), 4)
 
 
 class _IndexSpy:

@@ -56,11 +56,11 @@ def test_lce_identity_and_scan():
     # "abaab" embedded as S in a combined text; lce is over the combined codes.
     _, idx = combined_index(b"abaab", b"z")
     n = idx.n
-    for i in range(1, n + 1):
-        assert idx.lce(i, i) == n - i + 1
+    pos = np.arange(1, n + 1)
+    assert idx.lce_bulk(pos, pos).tolist() == (n - pos + 1).tolist()
     # Suffixes 1 and 4 of "abaab": "abaab..." vs "ab#..." share "ab" then diverge
     # at the sentinel, so the in-string lce is still 2.
-    assert idx.lce(1, 4) == 2
+    assert idx.lce_bulk([1], [4]).tolist() == [2]
 
 
 def test_lce_random_vs_scan():
@@ -70,34 +70,39 @@ def test_lce_random_vs_scan():
         codes = rng.integers(0, 3, size=n).astype(np.int64)
         idx = SuffixIndex(codes)
         s = "".join(chr(97 + int(c)) for c in codes)
-        for _ in range(30):
-            i = int(rng.integers(1, n + 1))
-            j = int(rng.integers(1, n + 1))
-            assert idx.lce(i, j) == naive_lcp(s[i - 1 :], s[j - 1 :])
+        I = rng.integers(1, n + 1, size=30)
+        J = rng.integers(1, n + 1, size=30)
+        want = [naive_lcp(s[i - 1 :], s[j - 1 :]) for i, j in zip(I, J)]
+        assert idx.lce_bulk(I, J).tolist() == want
 
 
-def test_lce_bulk_matches_scalar():
+def test_lce_bulk_rejects_positions_out_of_range():
+    idx = SuffixIndex(codes_of("banana"))
+    assert idx.lce_bulk([1, 6], [6, 6]).tolist() == [0, 1]
+    assert idx.lce_bulk([], []).tolist() == []
+    for i, j in (([0], [1]), ([1], [7]), ([2, 7], [1, 1]), ([-3], [2])):
+        with pytest.raises(PackedLcsError):
+            idx.lce_bulk(i, j)
+
+
+def test_lce_answers_one_pair_as_lce_bulk():
     rng = np.random.default_rng(12)
     codes = rng.integers(0, 2, size=200).astype(np.int64)
-    idx = SuffixIndex(codes, keep_rank_tables=True)
-    I = rng.integers(1, 201, size=500)
-    J = rng.integers(1, 201, size=500)
-    got = idx.lce_bulk(I, J)
-    for a, b, g in zip(I, J, got):
-        assert g == idx.lce(int(a), int(b))
+    idx = SuffixIndex(codes)
+    I = rng.integers(1, 201, size=50)
+    J = rng.integers(1, 201, size=50)
+    assert [idx.lce(int(a), int(b)) for a, b in zip(I, J)] == idx.lce_bulk(I, J).tolist()
 
 
 def test_lce_examples():
     comb, idx = combined_index(b"banana", b"ananas")
     s2 = comb.offsets["S"] + 1  # "anana" #1 ...
     t1 = comb.offsets["T"]  # "ananas" #3 ...
-    # S's suffix stops at its sentinel after five shared letters.
-    assert idx.lce(s2, t1) == 5
-    assert idx.lce(t1, s2) == 5
-    assert idx.lce(s2, s2) == len(comb) - s2 + 1
-    # "nana" #1 against "nanas" #3, and "a" #1 against "as" #3.
-    assert idx.lce(s2 + 1, t1 + 1) == 4
-    assert idx.lce(comb.offsets["S"] + 5, t1 + 4) == 1
+    # S's suffix stops at its sentinel after five shared letters; "nana" #1
+    # against "nanas" #3, and "a" #1 against "as" #3.
+    i = [s2, t1, s2, s2 + 1, comb.offsets["S"] + 5]
+    j = [t1, s2, s2, t1 + 1, t1 + 4]
+    assert idx.lce_bulk(i, j).tolist() == [5, 5, len(comb) - s2 + 1, 4, 1]
 
 
 def test_segment_suffix_order_examples():
@@ -106,11 +111,10 @@ def test_segment_suffix_order_examples():
     rank = lambda i: int(idx.isa[i - 1])
     # "ab" #1 sorts before its extension "abxab" #1.
     assert rank(s4) < rank(s1)
-    assert idx.lce(s4, s1) == 2
     # Equal strings "ab" in S and T: the lower sentinel #1 ranks S's first,
     # and the LCE covers the whole string.
     assert rank(s4) < rank(t1) < rank(s1)
-    assert idx.lce(s4, t1) == 2
+    assert idx.lce_bulk([s4, s4], [s1, t1]).tolist() == [2, 2]
 
 
 def test_lce_reversed_segments_random():
@@ -124,12 +128,11 @@ def test_lce_reversed_segments_random():
         t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
         comb, idx = combined_index(s, t)
         off = comb.offsets
-        for _ in range(10):
-            i = int(rng.integers(1, ns + 1))
-            j = int(rng.integers(1, nt + 1))
-            want = naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1])
-            got = idx.lce(off["S_rev"] + ns - i + 1, off["T_rev"] + nt - j + 1)
-            assert got == want
+        I = rng.integers(1, ns + 1, size=10)
+        J = rng.integers(1, nt + 1, size=10)
+        want = [naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1]) for i, j in zip(I, J)]
+        got = idx.lce_bulk(off["S_rev"] + ns - I + 1, off["T_rev"] + nt - J + 1)
+        assert got.tolist() == want
 
 
 def test_segment_suffix_order_random():
@@ -151,9 +154,10 @@ def test_segment_suffix_order_random():
         picks.sort(key=lambda p: int(idx.isa[p[0] - 1]))
         spelled = [x for _, x in picks]
         assert spelled == sorted(spelled)
-        for (i, a), (j, b) in zip(picks, picks[1:]):
+        lces = idx.lce_bulk([i for i, _ in picks[:-1]], [j for j, _ in picks[1:]])
+        for g, (i, a), (j, b) in zip(lces, picks, picks[1:]):
             want = len(a) if i == j else naive_lcp(a, b)
-            assert min(idx.lce(i, j), len(a), len(b)) == want
+            assert min(g, len(a), len(b)) == want
 
 
 def test_lcp_min_composition_property():
@@ -162,11 +166,9 @@ def test_lcp_min_composition_property():
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
     )
-    n = idx.n
-    for _ in range(300):
-        ranks = sorted(rng.integers(0, n, size=3))
-        u1, u2, u3 = (int(idx.sa[r]) + 1 for r in ranks)
-        assert idx.lce(u1, u3) == min(idx.lce(u1, u2), idx.lce(u2, u3))
+    ranks = np.sort(rng.integers(0, idx.n, size=(300, 3)), axis=1)
+    u1, u2, u3 = (idx.sa[ranks[:, c]] + 1 for c in range(3))
+    assert (idx.lce_bulk(u1, u3) == np.minimum(idx.lce_bulk(u1, u2), idx.lce_bulk(u2, u3))).all()
 
 
 # -- compacted tries --

@@ -81,6 +81,15 @@ def test_window_ranks_match_naive_dense_rank(shift):
         assert window_ranks(c, tau).tolist() == _naive_window_ranks(c, tau)
 
 
+def test_window_ranks_ignore_a_shift_of_the_codes():
+    # Ranks depend only on the order of the codes, also below 0.
+    rng = np.random.default_rng(22)
+    c = rand_codes(rng, 200, 3)
+    want = window_ranks(c, 6).tolist()
+    assert window_ranks(c - 5, 6).tolist() == want
+    assert window_ranks(c + 1000, 6).tolist() == want
+
+
 @pytest.mark.parametrize("tau", [30, 31, 32, 33])
 def test_sync_set_around_one_word_windows(tau):
     # Three letters take 2 bits: tau * bits crosses 62 between tau = 31 and
