@@ -39,8 +39,7 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _sync_anchor_count(s, t):
-    ctx = _Ctx(s, t)
+def _sync_anchor_count(ctx):
     tau, _, _ = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
     n_st = ctx.ns + ctx.nt + 1
     if ctx.ns == 0 or ctx.nt == 0 or tau > n_st // 2:
@@ -51,17 +50,17 @@ def _sync_anchor_count(s, t):
 def cmd_lcs(args):
     s = read_text_file(args.file_s, force_raw=args.raw)
     t = read_text_file(args.file_t, force_raw=args.raw)
-    ctx = _Ctx(s, t)
-    tau, m_short, cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
     t0 = time.perf_counter_ns()
+    ctx = _Ctx(s, t)
+    _, m_short, cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
     if args.force_regime == "short":
-        res = lcs_short(s, t, m_short)
+        res = lcs_short(ctx, None, m_short)
     elif args.force_regime == "medium":
-        res = lcs_medium(s, t)
+        res = lcs_medium(ctx, None)
     elif args.force_regime == "long":
-        res = lcs_long(s, t, cap)
+        res = lcs_long(ctx, None, cap)
     else:
-        res = lcs(s, t)
+        res = lcs(ctx, t)
     elapsed = time.perf_counter_ns() - t0
     _emit(
         {
@@ -73,7 +72,7 @@ def cmd_lcs(args):
             "length": res.length,
             "pos_s": res.pos_s,
             "pos_t": res.pos_t,
-            "sync_anchors": _sync_anchor_count(s, t),
+            "sync_anchors": _sync_anchor_count(ctx),
             "time_ns": 0 if args.no_timing else elapsed,
         }
     )
@@ -90,9 +89,9 @@ def cmd_klcs(args):
         return 2
     s = read_text_file(args.file_s, force_raw=args.raw)
     t = read_text_file(args.file_t, force_raw=args.raw)
-    ctx = _Ctx(s, t)
     t0 = time.perf_counter_ns()
-    res = klcs(s, t, args.k)
+    ctx = _Ctx(s, t)
+    res = klcs(ctx, t, args.k)
     elapsed = time.perf_counter_ns() - t0
     _emit(
         {
@@ -106,7 +105,7 @@ def cmd_klcs(args):
             "pos_t": res.pos_t,
             "mismatch_offsets": list(res.mismatches),
             "family_total": res.counters.family_total,
-            "sync_anchors": _sync_anchor_count(s, t),
+            "sync_anchors": _sync_anchor_count(ctx),
             "time_ns": 0 if args.no_timing else elapsed,
         }
     )
@@ -282,23 +281,24 @@ def cmd_bench(args):
     print("generator,n,sigma,rep,algorithm,regime,length,time_ns,anchors,speedup")
     for rep in range(args.repeats):
         s, t, plant = _gen_input(args.generator, rng, args.n, args.sigma)
-        anchors = _sync_anchor_count(s, t)
         t0 = time.perf_counter_ns()
         base_len, _, _ = lcs_suffix_automaton(
             np.frombuffer(s, dtype=np.uint8), np.frombuffer(t, dtype=np.uint8)
         )
         base_ns = max(1, time.perf_counter_ns() - t0)
         t0 = time.perf_counter_ns()
+        ctx = _Ctx(s, t)
         if args.generator == "planted-klcs":
-            res = klcs(s, t, 1)
+            res = klcs(ctx, t, 1)
             regime, length = "klcs", res.length
         elif args.medium_only:
-            res = lcs_medium(s, t)
+            res = lcs_medium(ctx, None)
             regime, length = "medium", res.length
         else:
-            res = lcs(s, t)
+            res = lcs(ctx, t)
             regime, length = res.regime, res.length
         algo_ns = max(1, time.perf_counter_ns() - t0)
+        anchors = _sync_anchor_count(ctx)
         if plant is not None and length < plant:
             print(
                 f"warning: reported length {length} below plant {plant}",

@@ -25,8 +25,8 @@ its nearest neighbours with first components at least as long: the query a
 linear-style prefix solver would make.
 
 Component LCPs are rank-interval minima over the adjacent-leaf LCP array of a
-trie (equivalent to LCA string depths), read from a numpy sparse table one
-query or one array of queries at a time.
+trie (equivalent to LCA string depths), read from a numpy sparse table as one
+array of queries.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class _RankLcp:
     def __init__(self, trie):
         self.depth = trie.depth[trie.leaf_at_rank]
         self.rmq = SparseRmq(trie.adjacent_leaf_lcp)
-
-    def lcp(self, ra, rb):
-        if ra == rb:
-            return int(self.depth[ra])
-        return self.rmq.query(min(ra, rb), max(ra, rb))
 
     def lcp_many(self, ra, rb):
         """Element-wise lcp over two rank arrays, in the table's dtype."""
@@ -100,7 +95,8 @@ class TwoFamiliesInstance:
 
     def first_lcp(self, pi, qi):
         """LCP of the first components of P[pi] and Q[qi]."""
-        return self.lcp1.lcp(int(self.r1[pi]), int(self.r1[len(self.p_elems) + qi]))
+        n_p = len(self.p_elems)
+        return int(self.lcp1.lcp_many(self.r1[[pi]], self.r1[[n_p + qi]])[0])
 
     @cached_property
     def lcp2(self):
@@ -275,7 +271,7 @@ def _trie_over(strings):
         _naive_lcp(strings[order[r]], strings[order[r + 1]])
         for r in range(len(order) - 1)
     ]
-    trie = build_compacted_trie(lengths, lcps, payload_ids=order)
+    trie = build_compacted_trie(lengths, lcps)
     leaf_by_elem = np.empty(len(strings), dtype=np.int64)
     leaf_by_elem[order] = trie.leaf_of_input
     return trie, leaf_by_elem

@@ -191,7 +191,7 @@ class _CompleteFamily:
         if not entries:
             return
         lens = [self._frag(entries[i])[1] for i in order]
-        trie = build_compacted_trie(lens, lcps, order)
+        trie = build_compacted_trie(lens, lcps)
         on, parent, end = trie.leaf_of_input, trie.parent, trie.subtree_end
         nc = trie.node_count()
         ids = np.arange(nc)
@@ -644,12 +644,13 @@ def _family_leg(ctx, a_s, a_t, ell, k, counters):
 
 
 def klcs(s, t, k):
-    """Exact k-mismatch LCS with witness positions and mismatch offsets."""
+    """Exact k-mismatch LCS with witness positions and mismatch offsets.  s
+    may instead be a _Ctx, as for lcs; t is then unused."""
     if not 0 <= k <= K_CAP:
         raise PackedLcsError(
             f"k={k} exceeds the supported cap {K_CAP}; use oracles.klcs_dp"
         )
-    ctx = _Ctx(s, t)
+    ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
     base = lcs(ctx, t)
     counters = FamilyCounters()
     if ctx.ns == 0 or ctx.nt == 0:

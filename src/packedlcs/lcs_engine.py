@@ -248,33 +248,17 @@ def fragment_order_and_lcps(codes, starts0, lens, index):
 def _index_order(idx, starts0, lens):
     """Order suffix components (start, length) of idx's text by suffix rank;
     return (order, adjacent LCPs capped at the lengths)."""
-    ranks = idx.isa[starts0]
-    order = np.argsort(ranks, kind="stable")
-    lcps = _subset_adjacent_lce(idx, ranks[order])
+    order = np.argsort(idx.isa[starts0], kind="stable")
+    first = starts0[order] + 1
     lo = lens[order]
+    lcps = idx.lce_bulk(first[:-1], first[1:])
     return order, np.minimum(lcps, np.minimum(lo[:-1], lo[1:]))
-
-
-def _subset_adjacent_lce(idx, sorted_ranks):
-    """LCE between rank-consecutive selected suffixes via segment minima.
-    Equal ranks (duplicate positions) yield the full suffix length."""
-    if len(sorted_ranks) <= 1:
-        return np.empty(0, dtype=np.int64)
-    # The pair at ranks (a, b) reads lcp[a + 1 : b + 1]; the pad closes the
-    # last segment, and equal ranks read it (overwritten below).
-    hi = int(sorted_ranks[-1])
-    lcp = np.append(idx.lcp[: hi + 1], np.iinfo(idx.lcp.dtype).max)
-    out = np.minimum.reduceat(lcp, sorted_ranks[:-1] + 1)
-    same = sorted_ranks[:-1] == sorted_ranks[1:]
-    if same.any():
-        out[same] = idx.n - idx.sa[sorted_ranks[:-1][same]]
-    return out
 
 
 def _sorted_trie(order, lens_sorted, lcps):
     """Compacted trie of a list given in sorted order, and the node of every
     input element (element order[r] has length lens_sorted[r])."""
-    trie = build_compacted_trie(lens_sorted, lcps, order)
+    trie = build_compacted_trie(lens_sorted, lcps)
     leaf_by_comp = np.empty(len(order), dtype=np.int64)
     leaf_by_comp[order] = trie.leaf_of_input
     return trie, leaf_by_comp

@@ -1,30 +1,28 @@
 """Suffix-array backed LCE queries and compacted tries.
 
 The suffix array is built by numpy prefix doubling (one int64 key sort per
-round, early exit once ranks are distinct), and both the LCP array and
-batched LCE queries are read from that doubling's rank tables level by
-level.  A compacted trie of a sorted list with adjacent LCPs is its
-LCP-interval tree, built with numpy from nearest-smaller-value queries: int
-arrays by node id, ids in preorder.
+round, early exit once ranks are distinct).  The index keeps that one
+doubling's rank tables, and every longest-common-extension query is one
+batched descent over them, level by level.  A compacted trie of a sorted
+list with adjacent LCPs is its LCP-interval tree, built with numpy from
+nearest-smaller-value queries: int arrays by node id, ids in preorder.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
 from .text_core import PackedLcsError
 
 
-def _prefix_doubling(codes, keep_ranks=False):
+def _prefix_doubling(codes):
     """(suffix array, rank tables) of an int code sequence by prefix doubling.
 
     ranks[level][i] is the dense rank of the length-2^level prefix of suffix i
     (a prefix running past the end is padded below every letter).  Doubling
-    stops at the first level whose ranks are all distinct, so two distinct
-    suffixes share fewer than 2^(len(ranks) - 1) symbols.  Without keep_ranks
-    only that last level is returned.
+    stops at the first level whose ranks are all distinct, so the last table
+    is the inverse suffix array and two distinct suffixes share fewer than
+    2^(len(ranks) - 1) symbols.
     """
     codes = np.asarray(codes, dtype=np.int64)
     n = codes.size
@@ -47,10 +45,7 @@ def _prefix_doubling(codes, keep_ranks=False):
         rank = np.empty(n, dtype=dtype)
         rank[order[0]] = 0
         rank[order[1:]] = np.cumsum(changed)
-        if keep_ranks:
-            ranks.append(rank)
-        else:
-            ranks[0] = rank
+        ranks.append(rank)
         k *= 2
     return order, ranks
 
@@ -60,33 +55,10 @@ def suffix_array(codes):
     return _prefix_doubling(codes)[0]
 
 
-def _lcp_from_ranks(sa, ranks):
-    """lcp[r] = LCP(suffix sa[r-1], suffix sa[r]), lcp[0] = 0, read from the
-    prefix-doubling rank tables by descending the levels."""
-    n = len(sa)
-    lcp = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
-    if n < 2:
-        return lcp
-    i, j = sa[:-1].copy(), sa[1:].copy()
-    h = lcp[1:]
-    # The last level's ranks are all distinct: no pair matches there.
-    for level in range(len(ranks) - 2, -1, -1):
-        step = 1 << level
-        tab = ranks[level]
-        # Equal ranks of distinct suffixes imply 2^level symbols on both.
-        live = np.flatnonzero((i < n) & (j < n))
-        hit = live[tab[i[live]] == tab[j[live]]]
-        h[hit] += step
-        i[hit] += step
-        j[hit] += step
-    return lcp
-
-
 class SparseRmq:
     """Sparse table of range minima in the values' dtype: table[j, i] =
     min(values[i : i + 2^j]), with one spare column that keeps every gather
-    in bounds.  query(l, r) and query_many(lo, hi) give the minimum over
-    [l, r)."""
+    in bounds.  query_many(lo, hi) gives the minima over [lo, hi)."""
 
     def __init__(self, values):
         values = np.asarray(values)
@@ -98,13 +70,6 @@ class SparseRmq:
             np.minimum(table[j - 1, :w], table[j - 1, half : half + w], out=table[j, :w])
         self.table = table
 
-    def query(self, l, r):
-        if l >= r:
-            return np.iinfo(np.int64).max
-        j = (r - l).bit_length() - 1
-        a, b = self.table[j, l], self.table[j, r - (1 << j)]
-        return int(a if a < b else b)
-
     def query_many(self, lo, hi):
         """Element-wise query over index arrays, in the table's dtype; entries
         with lo >= hi hold no minimum."""
@@ -113,54 +78,48 @@ class SparseRmq:
 
 
 class SuffixIndex:
-    """Suffix array + inverse + LCP over a code sequence.
+    """Suffix array + inverse over a code sequence, with the rank tables of
+    the prefix doubling that built them.
 
     Longest-common-extension queries between suffixes are batched over
     position arrays (lce_bulk); lce answers one pair.
     """
 
-    def __init__(self, codes, keep_rank_tables=False):
+    def __init__(self, codes):
         self.codes = np.asarray(codes, dtype=np.int64)
         self.n = int(self.codes.size)
-        self.sa, ranks = _prefix_doubling(self.codes, keep_ranks=True)
-        self.isa = np.empty(self.n, dtype=np.int64)
-        if self.n:
-            self.isa[self.sa] = np.arange(self.n)
-        self.lcp = _lcp_from_ranks(self.sa, ranks)
-        self._rank_tables = ranks if keep_rank_tables else None
+        self.sa, self._rank_tables = _prefix_doubling(self.codes)
+        self.isa = self._rank_tables[-1]
 
     def lce(self, i, j):
         """LCP of suffixes starting at 1-based positions i and j."""
         return int(self.lce_bulk([i], [j])[0])
 
-    def _build_rank_tables(self):
-        # tables[level][i] = rank of the length-2^level prefix of suffix i.
-        return _prefix_doubling(self.codes, keep_ranks=True)[1]
-
     def lce_bulk(self, i_arr, j_arr):
-        """LCPs of the suffixes at 1-based position arrays i_arr and j_arr,
-        read from the rank tables (built on the first call)."""
+        """LCPs of the suffixes at 1-based position arrays i_arr and j_arr.
+
+        A suffix paired with itself shares its whole length.  Distinct
+        suffixes share fewer symbols than the last rank table's prefix
+        length, so one descent from the table below it adds 2^level wherever
+        the level's ranks agree: equal ranks of distinct suffixes imply
+        2^level symbols on both."""
         i = np.asarray(i_arr, dtype=np.int64) - 1
         j = np.asarray(j_arr, dtype=np.int64) - 1
-        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.n):
-            raise PackedLcsError(f"suffix position out of range [1, {self.n}]")
-        if self._rank_tables is None:
-            self._rank_tables = self._build_rank_tables()
+        n = self.n
+        if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+            raise PackedLcsError(f"suffix position out of range [1, {n}]")
+        same = np.flatnonzero(i == j)
+        whole = n - i[same]
         res = np.zeros(i.shape, dtype=np.int64)
-        # Past the last table, whose ranks are all distinct, every level's
-        # ranks equal it: only a suffix paired with itself matches there.
-        top = len(self._rank_tables) - 1
-        for level in range(max(self.n - 1, 0).bit_length(), -1, -1):
+        for level in range(len(self._rank_tables) - 2, -1, -1):
             step = 1 << level
-            tab = self._rank_tables[min(level, top)]
-            ok = (i + step <= self.n) & (j + step <= self.n)
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                same = tab[i[idx]] == tab[j[idx]]
-                hit = idx[same]
-                res[hit] += step
-                i[hit] += step
-                j[hit] += step
+            tab = self._rank_tables[level]
+            live = np.flatnonzero((i < n) & (j < n))
+            hit = live[tab[i[live]] == tab[j[live]]]
+            res[hit] += step
+            i[hit] += step
+            j[hit] += step
+        res[same] = whole
         return res
 
 
@@ -175,12 +134,11 @@ class CompactedTrie:
     that carry inputs are ranked in input order, which is also their id
     order: leaf_at_rank[r] is the node of rank r, leaf_rank[v] the rank of v
     (-1 where v carries no input) and adjacent_leaf_lcp[r] the LCP of the
-    strings of ranks r and r + 1.  ``payloads`` (the payload ids of the
-    inputs on each node, in input order) is a list built on first use.
+    strings of ranks r and r + 1.
     """
 
     def __init__(self, parent, depth, subtree_end, leaf_of_input, leaf_at_rank,
-                 adjacent_leaf_lcp, payload_ids):
+                 adjacent_leaf_lcp):
         self.parent = parent
         self.depth = depth
         self.subtree_end = subtree_end
@@ -189,17 +147,9 @@ class CompactedTrie:
         self.adjacent_leaf_lcp = adjacent_leaf_lcp
         self.leaf_rank = np.full(parent.size, -1, dtype=parent.dtype)
         self.leaf_rank[leaf_at_rank] = np.arange(leaf_at_rank.size)
-        self.payload_ids = payload_ids
 
     def node_count(self):
         return self.parent.size
-
-    @cached_property
-    def payloads(self):
-        out = [[] for _ in range(self.node_count())]
-        for v, pid in zip(self.leaf_of_input.tolist(), self.payload_ids.tolist()):
-            out[v].append(pid)
-        return out
 
     def rank_spans(self):
         """(first, end) arrays: the leaf ranks in the subtree of v are
@@ -240,7 +190,7 @@ def _nearest_smaller(h):
     return lo - 1, hi
 
 
-def build_compacted_trie(lengths, lcps, payload_ids=None):
+def build_compacted_trie(lengths, lcps):
     """Compacted trie of a lexicographically sorted list.
 
     lengths[i] is the length of the i-th string; lcps[r] = LCP(string r,
@@ -312,5 +262,4 @@ def build_compacted_trie(lengths, lcps, payload_ids=None):
         leaf_of_input,
         leaf_of_input[first],
         h[first[1:] - 1].astype(dt),
-        np.arange(m) if payload_ids is None else np.asarray(payload_ids),
     )

@@ -51,6 +51,28 @@ def test_cmd_lcs_force_regime(tmp_path, capsys):
     assert json.loads(out)["regime"] == "medium"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["lcs"], *(["lcs", "--force-regime", r] for r in ("short", "medium", "long")), ["klcs", "-k", "1"]],
+)
+def test_cli_encodes_each_input_once(tmp_path, capsys, monkeypatch, args):
+    from packedlcs.lcs_engine import _Ctx
+
+    builds = []
+    init = _Ctx.__init__
+
+    def spy(self, *a, **kw):
+        builds.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(_Ctx, "__init__", spy)
+    a = write(tmp_path, "a.txt", b"abaabbabaabaab" * 30)
+    b = write(tmp_path, "b.txt", b"babaababbaabab" * 30)
+    rc, out, _ = run_cli([args[0], a, b, *args[1:], "--no-timing"], capsys)
+    assert rc == 0 and json.loads(out)["length"] > 0
+    assert len(builds) == 1
+
+
 def test_cmd_lcs_missing_file(tmp_path, capsys):
     rc, _, err = run_cli(["lcs", str(tmp_path / "nope"), str(tmp_path / "nope2")], capsys)
     assert rc == 2

@@ -543,6 +543,31 @@ def test_klcs_indexes_the_combined_text_once(monkeypatch):
     assert sizes.count(4 * 300 + 4) == 1
 
 
+def test_klcs_runs_one_prefix_doubling_per_index(monkeypatch):
+    # The index keeps the rank tables of the doubling that built its suffix
+    # array, so its LCE queries never run the doubling again.
+    from packedlcs import suffix_index
+
+    calls = {"builds": 0, "doublings": 0}
+    init, doubling = suffix_index.SuffixIndex.__init__, suffix_index._prefix_doubling
+
+    def spy_init(self, *args, **kwargs):
+        calls["builds"] += 1
+        init(self, *args, **kwargs)
+
+    def spy_doubling(*args, **kwargs):
+        calls["doublings"] += 1
+        return doubling(*args, **kwargs)
+
+    monkeypatch.setattr(suffix_index.SuffixIndex, "__init__", spy_init)
+    monkeypatch.setattr(suffix_index, "_prefix_doubling", spy_doubling)
+    rng = np.random.default_rng(85)
+    s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
+    assert klcs(s, t, 1).length == klcs_dp(s, t, 1)[0]
+    assert calls["builds"] >= 1
+    assert calls["doublings"] == calls["builds"]
+
+
 def test_misperiod_disjointness_claim():
     # If the misperiod sets of two k-equal strings w.r.t. a shared matching
     # window are disjoint, their union is exactly the mismatch-position set.

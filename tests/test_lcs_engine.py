@@ -152,7 +152,7 @@ def test_long_exact_where_rank_codes_pass_int32():
         s, t = rand_bytes(rng, n, 2), rand_bytes(rng, n, 2)
         idx = SuffixIndex(np.frombuffer(s + b"\0" + t, dtype=np.uint8))
         cross = (idx.sa[:-1] < n) != (idx.sa[1:] < n)
-        want = int(idx.lcp[1:][cross].max())
+        want = int(idx.lce_bulk(idx.sa[:-1] + 1, idx.sa[1:] + 1)[cross].max())
         assert want >= cap
         res = lcs_long(s, t, cap)
         assert res.length == want
@@ -567,25 +567,32 @@ def test_component_sort_calls_index_only_on_word_ties():
     assert _check_component_sort(codes, starts0, 2000 - starts0) == 1
 
 
-def test_subset_adjacent_lce_with_repeated_largest_rank():
+def test_index_order_with_repeated_largest_rank():
     # Suffixes 0 and 2 of [1, 1, 2, 0] share nothing; the repeated 2 shares
     # its whole suffix "2 0".
-    from packedlcs.lcs_engine import _subset_adjacent_lce
+    from packedlcs.lcs_engine import _index_order
     from packedlcs.suffix_index import SuffixIndex
 
     idx = SuffixIndex(np.array([1, 1, 2, 0]))
-    ranks = np.sort(idx.isa[[0, 2, 2]])
-    assert _subset_adjacent_lce(idx, ranks).tolist() == [0, 2]
+    starts0 = np.array([0, 2, 2])
+    order, lcps = _index_order(idx, starts0, 4 - starts0)
+    assert starts0[order].tolist() == [0, 2, 2]
+    assert lcps.tolist() == [0, 2]
     rng = np.random.default_rng(60)
     for _ in range(200):
         codes = rng.integers(0, 3, size=int(rng.integers(2, 30))).astype(np.int64)
         starts0 = rng.integers(0, codes.size, size=int(rng.integers(2, 8)))
         starts0 = np.concatenate([starts0, starts0[rng.integers(0, starts0.size, size=2)]])
+        lens = rng.integers(0, codes.size - starts0 + 1)
         idx = SuffixIndex(codes)
-        ranks = np.sort(idx.isa[starts0])
-        sa = idx.sa[ranks]
-        want = [len(os.path.commonprefix([codes[i:].tolist(), codes[j:].tolist()])) for i, j in zip(sa, sa[1:])]
-        assert _subset_adjacent_lce(idx, ranks).tolist() == want
+        order, lcps = _index_order(idx, starts0, lens)
+        sa = starts0[order]
+        assert np.diff(idx.isa[sa]).min() >= 0
+        want = [
+            min(len(os.path.commonprefix([codes[i:].tolist(), codes[j:].tolist()])), a, b)
+            for i, j, a, b in zip(sa, sa[1:], lens[order], lens[order][1:])
+        ]
+        assert lcps.tolist() == want
 
 
 def _run_block(n, end):
@@ -611,7 +618,7 @@ def test_repeated_run_block_beyond_index_free_sizes(entry):
     s, t = _run_block(n, b"b"), _run_block(n, b"c")
     idx = SuffixIndex(np.frombuffer(s + b"\0" + t, dtype=np.uint8))
     cross = (idx.sa[:-1] < n) != (idx.sa[1:] < n)
-    want = int(idx.lcp[1:][cross].max())
+    want = int(idx.lce_bulk(idx.sa[:-1] + 1, idx.sa[1:] + 1)[cross].max())
     _, m_short, cap = regime_parameters(n, n, 3)
     assert m_short < want < cap
     res = {"lcs_medium": lcs_medium, "lcs": lcs}[entry](s, t)

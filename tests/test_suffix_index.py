@@ -43,10 +43,16 @@ def test_suffix_array_random():
         assert list(suffix_array(codes_of(s))) == naive_sa(s)
 
 
+def neighbour_lcps(idx):
+    """lcp[r] = LCP of the suffixes of suffix ranks r - 1 and r, lcp[0] = 0."""
+    sa = idx.sa
+    return np.concatenate([[0], idx.lce_bulk(sa[:-1] + 1, sa[1:] + 1)])
+
+
 def test_lcp_array_banana():
     s = "banana"
     idx = SuffixIndex(codes_of(s))
-    sa, lcp = idx.sa, idx.lcp
+    sa, lcp = idx.sa, neighbour_lcps(idx)
     for r in range(1, len(s)):
         a, b = s[sa[r - 1]:], s[sa[r]:]
         assert lcp[r] == naive_lcp(a, b)
@@ -174,10 +180,10 @@ def test_lcp_min_composition_property():
 # -- compacted tries --
 
 
-def build_trie_from_strings(strings, payloads=None):
+def build_trie_from_strings(strings):
     lengths = [len(s) for s in strings]
     lcps = [naive_lcp(strings[i], strings[i + 1]) for i in range(len(strings) - 1)]
-    return build_compacted_trie(lengths, lcps, payloads)
+    return build_compacted_trie(lengths, lcps)
 
 
 def test_trie_hand_example():
@@ -199,7 +205,7 @@ def test_trie_single_string():
 def test_trie_duplicates_collapse():
     trie = build_trie_from_strings(["ab", "ab", "cd"])
     assert trie.leaf_of_input[0] == trie.leaf_of_input[1]
-    assert trie.payloads[trie.leaf_of_input[0]] == [0, 1]
+    assert np.flatnonzero(trie.leaf_of_input == trie.leaf_of_input[0]).tolist() == [0, 1]
 
 
 def test_trie_rejects_bad_lcp():
@@ -212,16 +218,19 @@ def test_suffix_trie_leaf_order_is_suffix_array():
     order = naive_sa(s)
     suffixes = [s[i:] for i in order]
     lcps = [naive_lcp(suffixes[i], suffixes[i + 1]) for i in range(len(suffixes) - 1)]
-    trie = build_compacted_trie([len(x) for x in suffixes], lcps, payload_ids=order)
+    trie = build_compacted_trie([len(x) for x in suffixes], lcps)
     # Left-to-right leaves spell the sorted order.
     children = [[] for _ in range(trie.node_count())]
     for v, p in enumerate(trie.parent.tolist()[1:], 1):
         children[p].append(v)
+    starts_on = [[] for _ in range(trie.node_count())]
+    for start, v in zip(order, trie.leaf_of_input.tolist()):
+        starts_on[v].append(start)
     leaves = []
     stack = [0]
     while stack:
         v = stack.pop()
-        leaves.extend(trie.payloads[v])
+        leaves.extend(starts_on[v])
         stack.extend(reversed(children[v]))
     assert leaves == order
     # Node count bound and strictly increasing depths.
@@ -253,7 +262,7 @@ def test_lcp_array_matches_scan_on_families():
     texts += ["".join(chr(97 + int(c)) for c in rng.integers(0, 3, size=90)) for _ in range(5)]
     for s in texts:
         idx = SuffixIndex(codes_of(s))
-        sa, lcp = idx.sa, idx.lcp
+        sa, lcp = idx.sa, neighbour_lcps(idx)
         assert lcp[0] == 0
         for r in range(1, len(s)):
             assert lcp[r] == naive_lcp(s[sa[r - 1]:], s[sa[r]:])
@@ -278,7 +287,5 @@ def test_sparse_rmq_matches_scan():
             assert rmq.table.dtype == dtype
             lo, hi = np.triu_indices(n + 1, 1)
             want = [int(values[a:b].min()) for a, b in zip(lo.tolist(), hi.tolist())]
-            assert [rmq.query(a, b) for a, b in zip(lo.tolist(), hi.tolist())] == want
             got = rmq.query_many(lo, hi)
             assert got.dtype == dtype and got.tolist() == want
-            assert rmq.query(n, n) == np.iinfo(np.int64).max

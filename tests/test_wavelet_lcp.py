@@ -27,7 +27,7 @@ def trie_of(strings):
     order = sorted(range(len(strings)), key=lambda i: strings[i])
     lengths = [len(strings[i]) for i in order]
     lcps = [naive_lcp(strings[order[r]], strings[order[r + 1]]) for r in range(len(order) - 1)]
-    return build_compacted_trie(lengths, lcps, payload_ids=list(order))
+    return build_compacted_trie(lengths, lcps)
 
 
 def rand_str(rng, max_len, sigma=3, min_len=0):
