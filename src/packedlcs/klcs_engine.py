@@ -267,11 +267,12 @@ class _CompleteFamily:
                 yield child
 
 
-def _families(codes, pairs, k1, k2, counters):
-    """The complete families of the pairs' first and second fragments."""
+def _families(codes1, codes2, pairs, k1, k2, counters):
+    """The complete families of the pairs' first fragments, of codes1, and
+    second fragments, of codes2."""
     return (
-        _CompleteFamily(codes, [p[0] for p in pairs], k1, counters),
-        _CompleteFamily(codes, [p[1] for p in pairs], k2, counters),
+        _CompleteFamily(codes1, [p[0] for p in pairs], k1, counters),
+        _CompleteFamily(codes2, [p[1] for p in pairs], k2, counters),
     )
 
 
@@ -281,8 +282,9 @@ def _bicomplete_batches(fam1, fam2, counters):
 
     Yields lists of product sets; a product set is a list of
     (pair_idx, delta1, delta2) triples sharing one (set1, set2) origin.
+    The budget is the two texts' lengths plus the pair count.
     """
-    budget = len(fam1.codes) + len(fam1.fragments)
+    budget = len(fam1.codes) + len(fam2.codes) + len(fam1.fragments)
     counters.batch_budget = budget
 
     def flush_product(by_src):
@@ -331,15 +333,22 @@ def max_pair_lcp_k(text, u_pairs, v_pairs, k1, k2, ell):
     len)) with 1-based starts.  Returns KPairResult with instrumentation.
     """
     codes = _as_codes(text)
+    return _max_pair_lcp_k(codes, codes, u_pairs, v_pairs, k1, k2, ell)
+
+
+def _max_pair_lcp_k(codes1, codes2, u_pairs, v_pairs, k1, k2, ell):
+    """max_pair_lcp_k with first fragments in codes1 and second in codes2."""
+    if k1 < 0 or k2 < 0:
+        raise PackedLcsError(f"need k1, k2 >= 0, got {k1}, {k2}")
     counters = FamilyCounters()
     if not u_pairs or not v_pairs:
         return KPairResult(0, None, counters)
-    pairs = _zero_based(codes, [*u_pairs, *v_pairs])
+    pairs = _zero_based(codes1, codes2, [*u_pairs, *v_pairs])
     if any(l > ell for pair in pairs for _, l in pair):
         raise PackedLcsError("fragment exceeds the (ell, ell) bound")
     n_u = len(u_pairs)
     origins = [0] * n_u + [1] * len(v_pairs)
-    fam1, fam2 = _families(codes, pairs, k1, k2, counters)
+    fam1, fam2 = _families(codes1, codes2, pairs, k1, k2, counters)
 
     best_val, best_wit = -1, None
     pool, pool_size = [], 0
@@ -381,12 +390,13 @@ def _check_frag(codes, start, length):
         raise PackedLcsError(f"fragment ({start}, {length}) out of range")
 
 
-def _zero_based(codes, pairs):
-    """Checked fragment pairs with 0-based starts."""
+def _zero_based(codes1, codes2, pairs):
+    """Checked fragment pairs, first in codes1 and second in codes2, with
+    0-based starts."""
     out = []
     for (s1, l1), (s2, l2) in pairs:
-        _check_frag(codes, s1, l1)
-        _check_frag(codes, s2, l2)
+        _check_frag(codes1, s1, l1)
+        _check_frag(codes2, s2, l2)
         out.append(((s1 - 1, l1), (s2 - 1, l2)))
     return out
 
@@ -475,7 +485,7 @@ def build_bicomplete_family(text, pairs, k1, k2, counters=None):
     """
     codes = _as_codes(text)
     counters = FamilyCounters() if counters is None else counters
-    fam1, fam2 = _families(codes, _zero_based(codes, pairs), k1, k2, counters)
+    fam1, fam2 = _families(codes, codes, _zero_based(codes, codes, pairs), k1, k2, counters)
     yield from _bicomplete_batches(fam1, fam2, counters)
 
 
@@ -484,9 +494,7 @@ def build_bicomplete_family(text, pairs, k1, k2, counters=None):
 
 def _y_codes(ctx):
     """#S$T with two distinct below-letter sentinels."""
-    return np.concatenate(
-        [[0], ctx.s_codes + 2, [1], ctx.t_codes + 2]
-    ).astype(np.int64)
+    return np.concatenate([[0], ctx.st_codes() + 1])
 
 
 def klcs_anchors(s, t, ell, k):
@@ -563,9 +571,9 @@ _BRUTE_CHUNK = 1 << 16
 
 def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):
     """Brute maxPairLCP over the cross product of anchor positions with
-    ell-capped extensions (vectorized kangaroo, chunked)."""
-    idx = ctx.index()
-    comb = ctx.combined()
+    ell-capped extensions (vectorized kangaroo, chunked): backward LCEs from
+    the index over (S$T)^R, forward ones from the index over S$T."""
+    rev, fwd = ctx.rev_index(), ctx.index()
     ns, nt = ctx.ns, ctx.nt
     best = (0, 1, 1)
     rows = max(1, _BRUTE_CHUNK // max(1, len(pos_t)))
@@ -576,16 +584,13 @@ def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):
         lb_back = np.minimum(ell, b - 1)
         la_fwd = np.minimum(ell, ns - a + 1)
         lb_fwd = np.minimum(ell, nt - b + 1)
-        rev_s0 = comb.offsets["S_rev"] - 1 + (ns - a + 1)
-        rev_t0 = comb.offsets["T_rev"] - 1 + (nt - b + 1)
-        fwd_s0 = comb.offsets["S"] - 1 + (a - 1)
-        fwd_t0 = comb.offsets["T"] - 1 + (b - 1)
+        rev_s0, rev_t0 = ctx.back_starts(a, b)
         backs = [
-            _vec_lcp_k(idx, rev_s0, la_back, rev_t0, lb_back, kk)
+            _vec_lcp_k(rev, rev_s0, la_back, rev_t0, lb_back, kk)
             for kk in range(k + 1)
         ]
         fwds = [
-            _vec_lcp_k(idx, fwd_s0, la_fwd, fwd_t0, lb_fwd, kk)
+            _vec_lcp_k(fwd, a - 1, la_fwd, ns + b, lb_fwd, kk)
             for kk in range(k + 1)
         ]
         for kk in range(k + 1):
@@ -598,39 +603,22 @@ def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):
     return best
 
 
-def _dense_leg(ctx, ell, k):
-    """Degenerate-anchor leg: all positions, brute maxPairLCP evaluation."""
-    return _brute_pairs_leg(
-        ctx,
-        np.arange(1, ctx.ns + 1, dtype=np.int64),
-        np.arange(1, ctx.nt + 1, dtype=np.int64),
-        ell,
-        k,
-    )
-
-
 def _family_leg(ctx, a_s, a_t, ell, k, counters):
-    comb = ctx.combined()
-    codes = comb.codes()
-    idx = ctx.index()
-    ns, nt = ctx.ns, ctx.nt
+    """The family leg: each anchor's pair (reversed prefix before it, in
+    (S$T)^R; suffix from it, in S$T), ell-capped, for every split of k."""
+    rev_s0, rev_t0 = ctx.back_starts(a_s, a_t)
 
-    def fam(points, n_len, off_fwd, off_rev):
-        out = []
-        for p in points:
-            p = int(p)
-            l1 = min(ell, p - 1)
-            l2 = min(ell, n_len - p + 1)
-            rev0 = off_rev - 1 + (n_len - p + 1)
-            fwd0 = off_fwd - 1 + (p - 1)
-            out.append(((rev0 + 1, l1), (fwd0 + 1, l2)))
-        return out
+    def fam(points, rev0, fwd0, n_len):
+        back = np.minimum(ell, points - 1).tolist()
+        fwd = np.minimum(ell, n_len - points + 1).tolist()
+        return list(zip(zip((rev0 + 1).tolist(), back), zip((fwd0 + 1).tolist(), fwd)))
 
-    u_pairs = fam(a_s, ns, comb.offsets["S"], comb.offsets["S_rev"])
-    v_pairs = fam(a_t, nt, comb.offsets["T"], comb.offsets["T_rev"])
+    u_pairs = fam(a_s, rev_s0, a_s - 1, ctx.ns)
+    v_pairs = fam(a_t, rev_t0, ctx.ns + a_t, ctx.nt)
+    st, rev = ctx.st_codes(), ctx.rev_index()
     best = None
     for kk in range(k + 1):
-        res = max_pair_lcp_k(codes, u_pairs, v_pairs, kk, k - kk, ell)
+        res = _max_pair_lcp_k(st[::-1], st, u_pairs, v_pairs, kk, k - kk, ell)
         counters.merge(res.counters)
         if res.witness is not None and (best is None or res.value > best[0]):
             ui, vi = res.witness
@@ -638,7 +626,7 @@ def _family_leg(ctx, a_s, a_t, ell, k, counters):
             b = int(a_t[vi])
             (r1, l1), _ = u_pairs[ui]
             (r2, l2), _ = v_pairs[vi]
-            lam = int(_vec_lcp_k(idx, *np.array([[r1 - 1], [l1], [r2 - 1], [l2]]), kk)[0])
+            lam = int(_vec_lcp_k(rev, *np.array([[r1 - 1], [l1], [r2 - 1], [l2]]), kk)[0])
             best = (res.value, a - lam, b - lam)
     return best
 
@@ -670,7 +658,13 @@ def klcs(s, t, k):
         if dense or len(a_s) == 0 or len(a_t) == 0:
             if dense_done:
                 continue
-            cand = _dense_leg(ctx, min(ells[-1], min(ctx.ns, ctx.nt)), k)
+            cand = _brute_pairs_leg(
+                ctx,
+                np.arange(1, ctx.ns + 1, dtype=np.int64),
+                np.arange(1, ctx.nt + 1, dtype=np.int64),
+                min(ells[-1], ctx.ns, ctx.nt),
+                k,
+            )
             dense_done = True
         else:
             # Cost dispatch: the modified-string machinery wins once the

@@ -17,8 +17,10 @@ Regimes, each sound everywhere and exact on its stated range:
   for true LCS in [3 tau, cap] (periodic cases reach further up).
 
 * long (difference-cover anchors): positions of a d-cover anchor both
-  occurrences; reversed prefixes and suffixes form one merged-trie instance
-  for the general solver.  Exact whenever the true LCS is at least d.
+  occurrences; the reversed prefixes before the anchors form trie 1, ordered
+  by the suffix index over (S$T)^R, and the suffixes from them trie 2,
+  ordered by the index over S$T, for the general solver.  Exact whenever the
+  true LCS is at least d.
 
 The dispatcher cascades short -> medium -> long and returns the maximum; no
 regime can overreport (every candidate is a genuine common substring), and
@@ -34,7 +36,6 @@ import numpy as np
 
 from . import wavelet_lcp
 from .text_core import (
-    CombinedText,
     PackedLcsError,
     _as_byte_seq,
     _sort_packed_fragments,
@@ -76,7 +77,7 @@ class DCover:
         return idx[marks[idx % self.d]]
 
 
-def build_d_cover(d, verify=None):
+def build_d_cover(d):
     """A d-cover: residues R and h with (i+h) mod d, (j+h) mod d in R."""
     if d < 1:
         raise PackedLcsError("d must be >= 1")
@@ -107,10 +108,7 @@ def build_d_cover(d, verify=None):
                 res = trial
         have = coverage(res)
     cover = DCover(d=d, residues=tuple(sorted(res)), pair_for_delta=tuple(have))
-    if verify is None:
-        verify = d <= 2**14
-    if verify:
-        _verify_cover(cover)
+    _verify_cover(cover)
     return cover
 
 
@@ -187,7 +185,8 @@ def lcs_suffix_automaton(a, b):
 
 
 class _Ctx:
-    """Shared per-pair state: joint codes, the combined text, lazy indexes."""
+    """Shared per-pair state: joint codes, the one text S$T, and lazy suffix
+    indexes over S$T and over its reversed view."""
 
     def __init__(self, s_raw, t_raw):
         alphabet = make_alphabet(s_raw, t_raw)
@@ -195,20 +194,9 @@ class _Ctx:
         self.t_codes = alphabet.encode(_as_byte_seq(t_raw))
         self.sigma = max(1, alphabet.size)
         self.ns, self.nt = len(self.s_codes), len(self.t_codes)
-        self._combined = None
-        self._index = None
         self._st = None
-        self._st_index = None
-
-    def combined(self):
-        if self._combined is None:
-            self._combined = CombinedText(self.s_codes, self.t_codes)
-        return self._combined
-
-    def index(self):
-        if self._index is None:
-            self._index = SuffixIndex(self.combined().codes())
-        return self._index
+        self._index = None
+        self._rev_index = None
 
     def st_codes(self):
         """S$T with letters shifted up by one and the separator at 0, so the
@@ -219,10 +207,28 @@ class _Ctx:
             ).astype(np.int64)
         return self._st
 
-    def st_index(self):
-        if self._st_index is None:
-            self._st_index = SuffixIndex(self.st_codes())
-        return self._st_index
+    def index(self):
+        """SuffixIndex over S$T; a suffix from a position of S or T spells
+        the rest of its string up to a terminator below every letter."""
+        if self._index is None:
+            self._index = SuffixIndex(self.st_codes())
+        return self._index
+
+    def rev_index(self):
+        """SuffixIndex over the reversed view (S$T)^R = T^R $ S^R, whose
+        suffixes read the prefixes of S and T backwards (see back_starts)."""
+        if self._rev_index is None:
+            self._rev_index = SuffixIndex(self.st_codes()[::-1])
+        return self._rev_index
+
+    def back_starts(self, pos_s, pos_t):
+        """0-based starts in (S$T)^R of the prefixes before the 1-based
+        positions pos_s of S and pos_t of T, read backwards.  There S[a]
+        sits at ns + nt + 1 - a and T[b] at nt - b.  An empty prefix starts
+        at the separator (nt), which sorts below every letter: T's lands
+        there, and S's, which would start past the end, is moved there."""
+        n_st = self.ns + self.nt + 1
+        return np.where(pos_s > 1, n_st + 1 - pos_s, self.nt), self.nt + 1 - pos_t
 
 
 def fragment_order_and_lcps(codes, starts0, lens, index):
@@ -325,28 +331,29 @@ def lcs_long(s, t, d):
 def _lcs_long(ctx, d):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "long")
-    cover = build_d_cover(d, verify=d <= 4096)
-    idx = ctx.index()
+    cover = build_d_cover(d)
     anchors_s = cover.positions_in(ctx.ns)
     anchors_t = cover.positions_in(ctx.nt)
     if len(anchors_s) == 0 or len(anchors_t) == 0:
         return LcsResult(0, 1, 1, "long")
-    # Components: reversed prefixes and suffixes for both strings, merged into
-    # one family F with a single trie (F1 = F2 = F).  Blocks: reversed
-    # prefixes of S, suffixes of S, then the same for T.
-    off = ctx.combined().offsets
-    starts = np.concatenate([
-        off["S_rev"] - 1 + ctx.ns - anchors_s + 1, off["S"] - 2 + anchors_s,
-        off["T_rev"] - 1 + ctx.nt - anchors_t + 1, off["T"] - 2 + anchors_t,
-    ])
-    lens = np.concatenate([
-        anchors_s - 1, ctx.ns - anchors_s + 1, anchors_t - 1, ctx.nt - anchors_t + 1,
-    ])
-    order, lcps = _index_order(idx, starts, lens)
-    trie, leaf = _sorted_trie(order, lens[order], lcps)
+    # Trie 1 holds the reversed prefixes before the anchors, read in
+    # (S$T)^R; trie 2 the suffixes from them, read in S$T.  S's anchors first.
+    def trie(idx, starts0, lens):
+        lens = np.concatenate(lens)
+        order, lcps = _index_order(idx, np.concatenate(starts0), lens)
+        return _sorted_trie(order, lens[order], lcps)
+
+    trie1, leaf1 = trie(
+        ctx.rev_index(), ctx.back_starts(anchors_s, anchors_t), (anchors_s - 1, anchors_t - 1)
+    )
+    trie2, leaf2 = trie(
+        ctx.index(),
+        (anchors_s - 1, ctx.ns + anchors_t),
+        (ctx.ns + 1 - anchors_s, ctx.nt + 1 - anchors_t),
+    )
+    elems = np.stack([leaf1, leaf2], axis=1)
     n_s = len(anchors_s)
-    leaf_s, leaf_t = leaf[: 2 * n_s].reshape(2, -1), leaf[2 * n_s :].reshape(2, -1)
-    inst = TwoFamiliesInstance(trie, trie, leaf_s.T, leaf_t.T)
+    inst = TwoFamiliesInstance(trie1, trie2, elems[:n_s], elems[n_s:])
     res = max_pair_lcp_general(inst)
     if res.witness is None or res.value == 0:
         return LcsResult(0, 1, 1, "long")
@@ -360,6 +367,8 @@ def _lcs_long(ctx, d):
 
 def regime_parameters(ns, nt, sigma):
     """(tau, short window m, medium/long cap) for the dispatcher."""
+    if min(ns, nt, sigma) < 0:
+        raise PackedLcsError("lengths and sigma must be >= 0")
     n = max(ns, nt, 1)
     sig = max(2, sigma)
     log_sigma_n = math.log(n, sig) if n > 1 else 0.0
@@ -388,10 +397,15 @@ def _build_anchors_medium(ctx, tau):
 def lcs_medium(s, t, tau=None, cap=None):
     """LCS via sync-set and run anchors; exact for true LCS in [3 tau, cap]
     (the periodic cases stay exact above the cap).  tau and cap default to
-    the dispatcher's parameters and are overridable as a testing hook."""
+    the dispatcher's parameters and are overridable as a testing hook; an
+    override needs tau >= 3 (run detection) and cap >= 1."""
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
     d_tau, _, d_cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
-    return _lcs_medium(ctx, tau or d_tau, cap or d_cap)
+    tau = d_tau if tau is None else tau
+    cap = d_cap if cap is None else cap
+    if tau < 3 or cap < 1:
+        raise PackedLcsError(f"need tau >= 3 and cap >= 1, got tau={tau}, cap={cap}")
+    return _lcs_medium(ctx, tau, cap)
 
 
 def _lcs_medium(ctx, tau, cap):
@@ -504,7 +518,7 @@ def _medium_periodic(ctx, runs, case):
     else:
         starts2 = anchor - 1
         lens2 = np.where(anchor <= ctx.ns, ctx.ns, ctx.ns + ctx.nt + 1) - starts2
-        order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.st_index)
+        order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.index)
         trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
     elems = np.stack([leaf1, leaf2], axis=1)
     inst = TwoFamiliesInstance(trie1, trie2, elems[:n_p], elems[n_p:])

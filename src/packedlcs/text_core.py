@@ -1,4 +1,4 @@
-"""Alphabet remapping, the combined sentinel text, and input readers.
+"""Alphabet remapping, packed fragment keys, and input readers.
 
 Strings are remapped onto a dense code alphabet [0, sigma) and kept as int64
 numpy code arrays.  Where word parallelism pays, fragments of a code array
@@ -8,13 +8,10 @@ modified-string keys all read it, and _sort_keys orders keys and reads their
 adjacent LCPs.
 Positions are 1-based throughout the public API; numpy internals are 0-based.
 
-The combined text used by the long-range machinery is
-
-    S #1 S^R #2 T #3 T^R #4
-
-with four distinct sentinel codes.  Sentinels occupy codes 0..3 and letters
-are shifted up by 4, so plain integer comparison already ranks every sentinel
-below every letter and the trailing sentinel is the unique minimal suffix.
+The engines read one text per pair, S$T (built by lcs_engine._Ctx), with
+letters shifted up by one and the separator at code 0, so every terminator
+sorts below every letter; reversed prefixes are suffixes of its reversed
+view (S$T)^R = T^R $ S^R.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-SENTINEL_COUNT = 4
 
 
 class PackedLcsError(ValueError):
@@ -68,32 +63,6 @@ def make_alphabet(*raws):
     values = sorted(seen)
     forward = {v: i for i, v in enumerate(values)}
     return Alphabet(size=len(values), forward_map=forward, inverse_map=tuple(values))
-
-
-SEG_S, SEG_S_REV, SEG_T, SEG_T_REV = "S", "S_rev", "T", "T_rev"
-
-
-class CombinedText:
-    """S #1 S^R #2 T #3 T^R #4 from the joint codes of S and T, with the
-    1-based start offset of each segment."""
-
-    def __init__(self, s_codes, t_codes):
-        s = np.asarray(s_codes, dtype=np.int64) + SENTINEL_COUNT
-        t = np.asarray(t_codes, dtype=np.int64) + SENTINEL_COUNT
-        ns, nt = s.size, t.size
-        self._codes = np.concatenate([s, [0], s[::-1], [1], t, [2], t[::-1], [3]])
-        self.offsets = {
-            SEG_S: 1,
-            SEG_S_REV: ns + 2,
-            SEG_T: 2 * ns + 3,
-            SEG_T_REV: 2 * ns + nt + 4,
-        }
-
-    def __len__(self):
-        return self._codes.size
-
-    def codes(self):
-        return self._codes
 
 
 def read_text_file(path, force_raw=False):

@@ -523,24 +523,31 @@ def test_klcs_driver_family_legs_forced():
         ke.FORCE_FAMILY_LEGS = old
 
 
-def test_klcs_indexes_the_combined_text_once(monkeypatch):
-    # lcs and the k-LCS legs share one context, so one index over S#S^R#T#T^R.
+def test_klcs_indexes_st_and_its_reverse_once(monkeypatch):
+    # lcs and the k-LCS legs share one context, so a pair gets two indexes,
+    # each built once: one over S$T and one over its reversed view.
+    from packedlcs.lcs_engine import _Ctx
     from packedlcs.suffix_index import SuffixIndex
 
-    sizes = []
+    texts = []
     init = SuffixIndex.__init__
 
     def spy(self, codes, *args, **kwargs):
-        sizes.append(len(codes))
+        texts.append(np.array(codes).tolist())
         init(self, codes, *args, **kwargs)
 
     monkeypatch.setattr(SuffixIndex, "__init__", spy)
     rng = np.random.default_rng(85)
     s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
-    res = klcs(s, t, 1)
+    ctx = _Ctx(s, t)
+    res = klcs(ctx, None, 1)
     assert res.length == klcs_dp(s, t, 1)[0]
     assert res.counters.solver_calls > 0
-    assert sizes.count(4 * 300 + 4) == 1
+    st = ctx.st_codes().tolist()
+    assert len(st) == 300 + 300 + 1
+    assert sorted(texts) == sorted([st, st[::-1]])
+    assert ctx.index().codes.tolist() == st and ctx.rev_index().codes.tolist() == st[::-1]
+    assert len(texts) == 2
 
 
 def test_klcs_runs_one_prefix_doubling_per_index(monkeypatch):

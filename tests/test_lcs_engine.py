@@ -159,6 +159,21 @@ def test_long_exact_where_rank_codes_pass_int32():
         check_witness(s, t, res)
 
 
+def test_long_regime_anchor_at_first_position():
+    # With 1 among the cover's residues, position 1 of S and of T is an
+    # anchor with an empty reversed prefix; both read from the separator of
+    # (S$T)^R.  The only common substring of the maximal length starts there.
+    rng = np.random.default_rng(58)
+    for d in (1, 3, 7, 9):
+        assert build_d_cover(d).positions_in(5)[0] == 1
+        core = rand_bytes(rng, 3 * d + 2, 2)
+        s = core + bytes(rng.integers(99, 101, size=20, dtype=np.uint8))
+        t = core + bytes(rng.integers(101, 103, size=20, dtype=np.uint8))
+        res = lcs_long(s, t, d)
+        assert (res.length, res.pos_s, res.pos_t) == (len(core), 1, 1)
+        assert res.length == lcs_dp(s, t)[0]
+
+
 def test_medium_periodic_case():
     # Default tau at this size bounds run periods below 2; the case-II family
     # machinery needs tau >= 6 to see the period-2 run, and is uncapped above.

@@ -22,7 +22,9 @@ from packedlcs.lcs_engine import (
     lcs_medium,
     lcs_short,
 )
-from packedlcs.oracles import brute_max_pair_lcp, lcs_dp
+from packedlcs import klcs_engine
+from packedlcs.klcs_engine import klcs
+from packedlcs.oracles import brute_max_pair_lcp, klcs_dp, lcs_dp
 from packedlcs.suffix_index import build_compacted_trie
 from packedlcs.text_core import PackedLcsError, _sort_packed_fragments
 
@@ -50,9 +52,9 @@ def _family_strings(draw, max_sigma, min_len, max_len):
 
 
 @st.composite
-def string_pairs(draw):
+def string_pairs(draw, max_len=60):
     """Two byte strings of one family over a shared alphabet of sigma values."""
-    one = _family_strings(draw, 256, 1, 60)
+    one = _family_strings(draw, 256, 1, max_len)
     return one(), one()
 
 
@@ -358,3 +360,22 @@ def test_long_regime_matches_dp_from_d(pair, d):
     assert res.length <= want
     if want >= d:
         assert res.length == want
+
+
+@pytest.mark.parametrize("force_family", [False, True])
+@pytest.mark.parametrize("k", [1, 2])
+@given(pair=string_pairs(max_len=40))
+def test_klcs_matches_dp(force_family, k, pair):
+    s, t = pair
+    old = klcs_engine.FORCE_FAMILY_LEGS
+    klcs_engine.FORCE_FAMILY_LEGS = force_family
+    try:
+        res = klcs(s, t, k)
+    finally:
+        klcs_engine.FORCE_FAMILY_LEGS = old
+    assert res.length == klcs_dp(s, t, k)[0]
+    a = s[res.pos_s - 1 : res.pos_s - 1 + res.length]
+    b = t[res.pos_t - 1 : res.pos_t - 1 + res.length]
+    assert len(a) == len(b) == res.length
+    mism = tuple(i + 1 for i in range(res.length) if a[i] != b[i])
+    assert mism == res.mismatches and len(mism) <= k

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from packedlcs.text_core import CombinedText, PackedLcsError, make_alphabet
+from packedlcs.lcs_engine import _Ctx
+from packedlcs.text_core import PackedLcsError
 from packedlcs.suffix_index import (
     SparseRmq,
     SuffixIndex,
@@ -27,11 +28,9 @@ def codes_of(s):
     return np.array([ord(c) for c in s], dtype=np.int64)
 
 
-def combined_index(s, t):
-    """CombinedText of S and T and a SuffixIndex over its codes."""
-    alpha = make_alphabet(s, t)
-    comb = CombinedText(alpha.encode(s), alpha.encode(t))
-    return comb, SuffixIndex(comb.codes())
+def st_index(s, t):
+    """The SuffixIndex over S$T of a pair."""
+    return _Ctx(s, t).index()
 
 
 def test_suffix_array_random():
@@ -59,13 +58,13 @@ def test_lcp_array_banana():
 
 
 def test_lce_identity_and_scan():
-    # "abaab" embedded as S in a combined text; lce is over the combined codes.
-    _, idx = combined_index(b"abaab", b"z")
+    # "abaab" embedded as S in S$T; lce is over the S$T codes.
+    idx = st_index(b"abaab", b"z")
     n = idx.n
     pos = np.arange(1, n + 1)
     assert idx.lce_bulk(pos, pos).tolist() == (n - pos + 1).tolist()
-    # Suffixes 1 and 4 of "abaab": "abaab..." vs "ab#..." share "ab" then diverge
-    # at the sentinel, so the in-string lce is still 2.
+    # Suffixes 1 and 4 of "abaab": "abaab..." vs "ab$..." share "ab" then diverge
+    # at the separator, so the in-string lce is still 2.
     assert idx.lce_bulk([1], [4]).tolist() == [2]
 
 
@@ -101,74 +100,73 @@ def test_lce_answers_one_pair_as_lce_bulk():
 
 
 def test_lce_examples():
-    comb, idx = combined_index(b"banana", b"ananas")
-    s2 = comb.offsets["S"] + 1  # "anana" #1 ...
-    t1 = comb.offsets["T"]  # "ananas" #3 ...
-    # S's suffix stops at its sentinel after five shared letters; "nana" #1
-    # against "nanas" #3, and "a" #1 against "as" #3.
-    i = [s2, t1, s2, s2 + 1, comb.offsets["S"] + 5]
+    idx = st_index(b"banana", b"ananas")
+    s2, t1 = 2, 6 + 2  # "anana" $ ..., "ananas"
+    # S's suffix stops at the separator after five shared letters; "nana" $
+    # against "nanas", and "a" $ against "as".
+    i = [s2, t1, s2, s2 + 1, 6]
     j = [t1, s2, s2, t1 + 1, t1 + 4]
-    assert idx.lce_bulk(i, j).tolist() == [5, 5, len(comb) - s2 + 1, 4, 1]
+    assert idx.lce_bulk(i, j).tolist() == [5, 5, idx.n - s2 + 1, 4, 1]
 
 
-def test_segment_suffix_order_examples():
-    comb, idx = combined_index(b"abxab", b"ab")
-    s1, s4, t1 = comb.offsets["S"], comb.offsets["S"] + 3, comb.offsets["T"]
+def test_suffix_order_examples():
+    idx = st_index(b"abxab", b"ab")
+    s1, s4, t1 = 1, 4, 7
     rank = lambda i: int(idx.isa[i - 1])
-    # "ab" #1 sorts before its extension "abxab" #1.
+    # "ab" $ sorts before its extension "abxab" $.
     assert rank(s4) < rank(s1)
-    # Equal strings "ab" in S and T: the lower sentinel #1 ranks S's first,
-    # and the LCE covers the whole string.
-    assert rank(s4) < rank(t1) < rank(s1)
+    # Equal strings "ab" in S and T: T's ends the text, below the separator
+    # that ends S's, and the LCE covers the whole string.
+    assert rank(t1) < rank(s4) < rank(s1)
     assert idx.lce_bulk([s4, s4], [s1, t1]).tolist() == [2, 2]
 
 
-def test_lce_reversed_segments_random():
-    # The long regime reads a reversed prefix S[1..i-1]^R as the suffix of
-    # the combined text that starts in S^R at offset + ns - i + 1; its LCE
-    # with T's stops at the segment sentinels.
+def _check_component_order(idx, starts0, spelled):
+    """Suffix rank at the 0-based starts orders the spelled strings, and the
+    LCEs of rank neighbours, capped at their lengths, are their LCPs."""
+    by_rank = sorted(range(len(starts0)), key=lambda c: int(idx.isa[starts0[c]]))
+    got = [spelled[c] for c in by_rank]
+    assert got == sorted(spelled)
+    first = np.array([starts0[c] for c in by_rank]) + 1
+    lces = idx.lce_bulk(first[:-1], first[1:])
+    for g, a, b in zip(lces.tolist(), got, got[1:]):
+        assert min(g, len(a), len(b)) == naive_lcp(a, b)
+
+
+def test_reversed_prefixes_and_suffixes_random():
+    # The long regime and the k-LCS legs read the prefix before 1-based
+    # position a of S (b of T) backwards as the suffix of (S$T)^R at
+    # back_starts, and the suffix from it as the suffix of S$T at a - 1
+    # (ns + b).  Every such component, empty prefixes included, sorts by
+    # suffix rank, and capped LCEs give its LCPs.
     rng = np.random.default_rng(14)
-    for _ in range(50):
-        ns, nt = int(rng.integers(2, 40)), int(rng.integers(2, 40))
-        s = bytes(rng.integers(97, 100, size=ns, dtype=np.uint8))
-        t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
-        comb, idx = combined_index(s, t)
-        off = comb.offsets
-        I = rng.integers(1, ns + 1, size=10)
-        J = rng.integers(1, nt + 1, size=10)
-        want = [naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1]) for i, j in zip(I, J)]
-        got = idx.lce_bulk(off["S_rev"] + ns - I + 1, off["T_rev"] + nt - J + 1)
-        assert got.tolist() == want
-
-
-def test_segment_suffix_order_random():
-    # Every segment suffix of the combined text runs to a sentinel below
-    # every letter, so suffix rank orders the strings the suffixes spell up
-    # to their sentinels (the long regime sorts its components this way).
-    rng = np.random.default_rng(15)
-    for _ in range(40):
+    for _ in range(60):
         ns, nt = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         s = bytes(rng.integers(97, 100, size=ns, dtype=np.uint8))
         t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
-        comb, idx = combined_index(s, t)
-        segs = [("S", s), ("S_rev", s[::-1]), ("T", t), ("T_rev", t[::-1])]
-        picks = []
-        for _ in range(25):
-            seg, raw = segs[int(rng.integers(0, 4))]
-            k = int(rng.integers(0, len(raw) + 1))
-            picks.append((comb.offsets[seg] + k, raw[k:]))
-        picks.sort(key=lambda p: int(idx.isa[p[0] - 1]))
-        spelled = [x for _, x in picks]
-        assert spelled == sorted(spelled)
-        lces = idx.lce_bulk([i for i, _ in picks[:-1]], [j for j, _ in picks[1:]])
-        for g, (i, a), (j, b) in zip(lces, picks, picks[1:]):
-            want = len(a) if i == j else naive_lcp(a, b)
-            assert min(g, len(a), len(b)) == want
+        ctx = _Ctx(s, t)
+        a, b = np.arange(1, ns + 1), np.arange(1, nt + 1)
+        back_s, back_t = ctx.back_starts(a, b)
+        _check_component_order(
+            ctx.rev_index(),
+            np.concatenate([back_s, back_t]).tolist(),
+            [s[: i - 1][::-1] for i in a] + [t[: j - 1][::-1] for j in b],
+        )
+        _check_component_order(
+            ctx.index(),
+            np.concatenate([a - 1, ns + b]).tolist(),
+            [s[i - 1 :] for i in a] + [t[j - 1 :] for j in b],
+        )
+        I, J = rng.integers(1, ns + 1, size=10), rng.integers(1, nt + 1, size=10)
+        bi, bj = ctx.back_starts(I, J)
+        want = [naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1]) for i, j in zip(I, J)]
+        got = np.minimum(ctx.rev_index().lce_bulk(bi + 1, bj + 1), np.minimum(I, J) - 1)
+        assert got.tolist() == want
 
 
 def test_lcp_min_composition_property():
     rng = np.random.default_rng(16)
-    _, idx = combined_index(
+    idx = st_index(
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
         bytes(rng.integers(97, 99, size=60, dtype=np.uint8)),
     )

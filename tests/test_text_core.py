@@ -3,7 +3,6 @@ import pytest
 
 from packedlcs.lcs_engine import _Ctx, lcs
 from packedlcs.text_core import (
-    CombinedText,
     PackedLcsError,
     _as_byte_seq,
     make_alphabet,
@@ -83,66 +82,44 @@ def test_as_byte_seq_coercion():
 
 def test_joint_alphabet_keeps_letters_apart():
     # S and T are encoded over one joint alphabet, so a letter of S never
-    # shares a code with a different letter of T in the combined text.
+    # shares a code with a different letter of T in S$T.
     ctx = _Ctx(b"ab", b"cd")
     assert ctx.s_codes.tolist() == [0, 1]
     assert ctx.t_codes.tolist() == [2, 3]
-    codes, off = ctx.combined().codes(), ctx.combined().offsets
-    assert set(codes[off["S"] - 1 : off["S"] + 1].tolist()).isdisjoint(
-        codes[off["T"] - 1 : off["T"] + 1].tolist()
-    )
+    st = ctx.st_codes()
+    assert set(st[:2].tolist()).isdisjoint(st[3:].tolist())
     ctx = _Ctx(b"ca", b"ac")
     assert ctx.s_codes.tolist() == ctx.t_codes.tolist()[::-1]
 
 
-def _combined(s, t):
-    alpha = make_alphabet(s, t)
-    return alpha, CombinedText(alpha.encode(s), alpha.encode(t))
+def test_st_layout():
+    # S$T with letters shifted above the separator 0; its reversed view is
+    # T^R $ S^R.
+    ctx = _Ctx(b"ab", b"c")
+    assert ctx.st_codes().tolist() == [1, 2, 0, 3]
+    assert ctx.st_codes()[::-1].tolist() == [3, 0, 2, 1]
 
 
-def test_combined_layout():
-    _, comb = _combined(b"ab", b"c")
-    # S #1 S^R #2 T #3 T^R #4, letters shifted above the sentinels 0..3.
-    assert len(comb) == 2 * 2 + 2 * 1 + 4
-    assert comb.codes().tolist() == [4, 5, 0, 5, 4, 1, 6, 2, 6, 3]
-    assert comb.offsets == {"S": 1, "S_rev": 4, "T": 7, "T_rev": 9}
-
-
-def test_combined_reversal_segment():
-    alpha, comb = _combined(b"abc", b"zz")
-    codes, off = comb.codes(), comb.offsets
-    fwd = codes[off["S"] - 1 : off["S"] + 2]
-    rev = codes[off["S_rev"] - 1 : off["S_rev"] + 2]
-    assert list(rev) == list(fwd)[::-1]
-    assert alpha.decode(rev - 4) == b"cba"
-
-
-def test_fragment_translation_random():
-    # Every segment, read at its offset, spells S, S^R, T or T^R and ends at
-    # its own sentinel.
+def test_st_positions_random():
+    # Read at the documented 0-based positions, S$T spells S[a] at a - 1 and
+    # T[b] at ns + b, and its reversed view S[a] at ns + nt + 1 - a and T[b]
+    # at nt - b (1-based a, b); the separator is the one code below every
+    # letter.
     rng = np.random.default_rng(3)
     for _ in range(200):
         ns, nt = int(rng.integers(0, 40)), int(rng.integers(0, 40))
         s = bytes(rng.integers(97, 101, size=ns, dtype=np.uint8))
         t = bytes(rng.integers(97, 101, size=nt, dtype=np.uint8))
-        alpha, comb = _combined(s, t)
-        codes, off = comb.codes(), comb.offsets
-        assert len(comb) == 2 * (ns + nt) + 4
-        for sentinel, (seg, raw) in enumerate(
-            (("S", s), ("S_rev", s[::-1]), ("T", t), ("T_rev", t[::-1]))
-        ):
-            lo = off[seg] - 1
-            assert alpha.decode(codes[lo : lo + len(raw)] - 4) == raw
-            assert codes[lo + len(raw)] == sentinel
-
-
-def test_sentinels_below_letters_everywhere():
-    _, comb = _combined(b"ba", b"ab")
-    codes = comb.codes()
-    assert sorted(codes[codes < 4].tolist()) == [0, 1, 2, 3]
-    assert codes[codes >= 4].min() > 3
-    # The trailing sentinel is the unique minimal suffix.
-    assert codes[-1] == 3 and (codes[:-1] != 3).all()
+        ctx = _Ctx(s, t)
+        alpha = make_alphabet(s, t)
+        st, rev = ctx.st_codes(), ctx.st_codes()[::-1]
+        assert st.size == ns + nt + 1
+        assert np.flatnonzero(st == 0).tolist() == [ns]
+        a, b = np.arange(1, ns + 1), np.arange(1, nt + 1)
+        for text, at_s, at_t in ((st, a - 1, ns + b), (rev, ns + nt + 1 - a, nt - b)):
+            assert alpha.decode(text[at_s] - 1) == s
+            assert alpha.decode(text[at_t] - 1) == t
+        assert rev[nt] == 0
 
 
 def test_fasta_reader(tmp_path):
