@@ -19,6 +19,11 @@ product; delta-subset groups with modification budgets remove
 double-counted mismatches; per batch the sets are merged under length-1
 edges, ordered by (set, packed key), and solved with the general solver.
 
+The legs pack each anchor's ell-capped reversed prefix, from (S$T)^R, and
+forward window, from S$T; text_core.mismatch_offsets reads lcp_k' off the
+XOR of two keys for the brute leg and the family leg's witness shift, so
+klcs builds no suffix index beyond its lcs call.
+
 Every reported sum is realized by a genuine pair of substrings at Hamming
 distance <= k, so legs never overreport and the maximum over the schedule is
 exact.
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .text_core import PackedLcsError, _sort_keys, pack_keys, symbol_bits
+from .text_core import PackedLcsError, _sort_keys, mismatch_offsets, pack_keys, symbol_bits
 from .suffix_index import build_compacted_trie
 from .sync_runs import build_sync_set, find_tau_runs, misperiods
 from .family_lcp import TwoFamiliesInstance, _RankLcp, max_pair_lcp_general
@@ -493,7 +498,9 @@ def build_bicomplete_family(text, pairs, k1, k2, counters=None):
 
 
 def _y_codes(ctx):
-    """#S$T with two distinct below-letter sentinels."""
+    """#S$T with two distinct below-letter sentinels.  A run from S's first
+    symbol needs a left misperiod for its aligned anchors, and # gives one,
+    as $ does for T (over plain S$T, klcs(c^77 acc, c^116, 1) finds 77, not 80)."""
     return np.concatenate([[0], ctx.st_codes() + 1])
 
 
@@ -551,55 +558,41 @@ class KlcsResult:
     counters: FamilyCounters = field(default_factory=FamilyCounters)
 
 
-def _vec_lcp_k(idx, a0, la, b0, lb, k):
-    """Vectorized kangaroo lcp_k over fragment arrays (0-based starts)."""
-    n = idx.n
-    cur = np.zeros(len(a0), dtype=np.int64)
-    limit = np.minimum(la, lb)
-    for round_no in range(k + 1):
-        pa = np.minimum(a0 + cur, n - 1) + 1
-        pb = np.minimum(b0 + cur, n - 1) + 1
-        step = idx.lce_bulk(pa, pb)
-        cur = np.minimum(cur + step, limit)
-        if round_no < k:
-            cur = np.where(cur < limit, cur + 1, cur)
-    return np.minimum(cur, limit)
-
-
-_BRUTE_CHUNK = 1 << 16
+_BRUTE_CHUNK = 1 << 16  # key words per chunk of anchor pairs
 
 
 def _brute_pairs_leg(ctx, pos_s, pos_t, ell, k):
     """Brute maxPairLCP over the cross product of anchor positions with
-    ell-capped extensions (vectorized kangaroo, chunked): backward LCEs from
-    the index over (S$T)^R, forward ones from the index over S$T."""
-    rev, fwd = ctx.rev_index(), ctx.index()
-    ns, nt = ctx.ns, ctx.nt
+    ell-capped extensions.  Each anchor's backward fragment, from (S$T)^R,
+    and forward fragment, from S$T, is packed once; a pair's lcp_k' for
+    every k' <= k is read off the XOR of its keys, in chunks of pairs."""
+    st = ctx.st_codes()
+    bits, n_s, n_t = symbol_bits(st), len(pos_s), len(pos_t)
+    back0 = np.concatenate(ctx.back_starts(pos_s, pos_t))
+    before = np.concatenate([pos_s, pos_t]) - 1
+    after = np.concatenate([ctx.ns + 1 - pos_s, ctx.nt + 1 - pos_t])
+    sides = []  # (keys, lens) of the backward, then the forward fragments
+    for codes, starts0, lens in ((st[::-1], back0, before), (st, st.size - back0, after)):
+        lens = np.minimum(lens, ell)
+        sides.append((pack_keys(codes, starts0, lens, ell), lens))
+
+    def lcp_ks(keys, lens, i):
+        # (k + 1, len(i) * n_t) capped lcp_k' of S anchors i by every T anchor.
+        x = (keys[:, i, None] ^ keys[:, None, n_s:]).reshape(len(keys), -1)
+        cap = np.minimum.outer(lens[i], lens[n_s:]).ravel()
+        return np.minimum(mismatch_offsets(x, bits, k), cap)
+
     best = (0, 1, 1)
-    rows = max(1, _BRUTE_CHUNK // max(1, len(pos_t)))
-    for lo in range(0, len(pos_s), rows):
-        a = np.repeat(pos_s[lo : lo + rows], len(pos_t))
-        b = np.tile(pos_t, len(pos_s[lo : lo + rows]))
-        la_back = np.minimum(ell, a - 1)
-        lb_back = np.minimum(ell, b - 1)
-        la_fwd = np.minimum(ell, ns - a + 1)
-        lb_fwd = np.minimum(ell, nt - b + 1)
-        rev_s0, rev_t0 = ctx.back_starts(a, b)
-        backs = [
-            _vec_lcp_k(rev, rev_s0, la_back, rev_t0, lb_back, kk)
-            for kk in range(k + 1)
-        ]
-        fwds = [
-            _vec_lcp_k(fwd, a - 1, la_fwd, ns + b, lb_fwd, kk)
-            for kk in range(k + 1)
-        ]
+    rows = max(1, _BRUTE_CHUNK // (n_t * sides[0][0].shape[0]))
+    for lo in range(0, n_s, rows):
+        i = np.arange(lo, min(lo + rows, n_s))
+        backs, fwds = (lcp_ks(*side, i) for side in sides)
         for kk in range(k + 1):
             val = backs[kk] + fwds[k - kk]
-            i = int(np.argmax(val))
-            v = int(val[i])
-            if v > best[0]:
-                lam = int(backs[kk][i])
-                best = (v, int(a[i]) - lam, int(b[i]) - lam)
+            r = int(np.argmax(val))
+            if val[r] > best[0]:
+                lam = int(backs[kk, r])
+                best = (int(val[r]), int(pos_s[lo + r // n_t]) - lam, int(pos_t[r % n_t]) - lam)
     return best
 
 
@@ -615,19 +608,20 @@ def _family_leg(ctx, a_s, a_t, ell, k, counters):
 
     u_pairs = fam(a_s, rev_s0, a_s - 1, ctx.ns)
     v_pairs = fam(a_t, rev_t0, ctx.ns + a_t, ctx.nt)
-    st, rev = ctx.st_codes(), ctx.rev_index()
+    st = ctx.st_codes()
     best = None
     for kk in range(k + 1):
         res = _max_pair_lcp_k(st[::-1], st, u_pairs, v_pairs, kk, k - kk, ell)
         counters.merge(res.counters)
         if res.witness is not None and (best is None or res.value > best[0]):
             ui, vi = res.witness
-            a = int(a_s[ui])
-            b = int(a_t[vi])
             (r1, l1), _ = u_pairs[ui]
             (r2, l2), _ = v_pairs[vi]
-            lam = int(_vec_lcp_k(rev, *np.array([[r1 - 1], [l1], [r2 - 1], [l2]]), kk)[0])
-            best = (res.value, a - lam, b - lam)
+            # The witness shift: the pair's backward lcp_kk.
+            key = pack_keys(st[::-1], np.array([r1 - 1, r2 - 1]), np.array([l1, l2]), ell)
+            lam = mismatch_offsets(key[:, :1] ^ key[:, 1:], symbol_bits(st), kk)[kk, 0]
+            lam = min(int(lam), l1, l2)
+            best = (res.value, int(a_s[ui]) - lam, int(a_t[vi]) - lam)
     return best
 
 

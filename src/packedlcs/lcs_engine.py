@@ -17,10 +17,10 @@ Regimes, each sound everywhere and exact on its stated range:
   for true LCS in [3 tau, cap] (periodic cases reach further up).
 
 * long (difference-cover anchors): positions of a d-cover anchor both
-  occurrences; the reversed prefixes before the anchors form trie 1, ordered
-  by the suffix index over (S$T)^R, and the suffixes from them trie 2,
-  ordered by the index over S$T, for the general solver.  Exact whenever the
-  true LCS is at least d.
+  occurrences; the reversed prefixes before the anchors, cut at d - 1
+  symbols and sorted by packed keys, form trie 1, and the suffixes from them,
+  ordered by the suffix index over S$T, trie 2, for the general solver.
+  Exact whenever the true LCS is at least d.
 
 The dispatcher cascades short -> medium -> long and returns the maximum; no
 regime can overreport (every candidate is a genuine common substring), and
@@ -185,8 +185,8 @@ def lcs_suffix_automaton(a, b):
 
 
 class _Ctx:
-    """Shared per-pair state: joint codes, the one text S$T, and lazy suffix
-    indexes over S$T and over its reversed view."""
+    """Shared per-pair state: joint codes, the one text S$T, and its lazy
+    suffix index."""
 
     def __init__(self, s_raw, t_raw):
         alphabet = make_alphabet(s_raw, t_raw)
@@ -196,7 +196,6 @@ class _Ctx:
         self.ns, self.nt = len(self.s_codes), len(self.t_codes)
         self._st = None
         self._index = None
-        self._rev_index = None
 
     def st_codes(self):
         """S$T with letters shifted up by one and the separator at 0, so the
@@ -214,21 +213,13 @@ class _Ctx:
             self._index = SuffixIndex(self.st_codes())
         return self._index
 
-    def rev_index(self):
-        """SuffixIndex over the reversed view (S$T)^R = T^R $ S^R, whose
-        suffixes read the prefixes of S and T backwards (see back_starts)."""
-        if self._rev_index is None:
-            self._rev_index = SuffixIndex(self.st_codes()[::-1])
-        return self._rev_index
-
     def back_starts(self, pos_s, pos_t):
-        """0-based starts in (S$T)^R of the prefixes before the 1-based
-        positions pos_s of S and pos_t of T, read backwards.  There S[a]
-        sits at ns + nt + 1 - a and T[b] at nt - b.  An empty prefix starts
-        at the separator (nt), which sorts below every letter: T's lands
-        there, and S's, which would start past the end, is moved there."""
-        n_st = self.ns + self.nt + 1
-        return np.where(pos_s > 1, n_st + 1 - pos_s, self.nt), self.nt + 1 - pos_t
+        """0-based starts in (S$T)^R = st_codes()[::-1] of the prefixes
+        before the 1-based positions pos_s of S and pos_t of T, read
+        backwards as packed keys (pack_keys).  There S[a] sits at
+        ns + nt + 1 - a and T[b] at nt - b; S's empty prefix starts one past
+        the end, where pack_keys reads its zero tail."""
+        return self.ns + self.nt + 2 - pos_s, self.nt + 1 - pos_t
 
 
 def fragment_order_and_lcps(codes, starts0, lens, index):
@@ -336,21 +327,17 @@ def _lcs_long(ctx, d):
     anchors_t = cover.positions_in(ctx.nt)
     if len(anchors_s) == 0 or len(anchors_t) == 0:
         return LcsResult(0, 1, 1, "long")
-    # Trie 1 holds the reversed prefixes before the anchors, read in
-    # (S$T)^R; trie 2 the suffixes from them, read in S$T.  S's anchors first.
-    def trie(idx, starts0, lens):
-        lens = np.concatenate(lens)
-        order, lcps = _index_order(idx, np.concatenate(starts0), lens)
-        return _sorted_trie(order, lens[order], lcps)
-
-    trie1, leaf1 = trie(
-        ctx.rev_index(), ctx.back_starts(anchors_s, anchors_t), (anchors_s - 1, anchors_t - 1)
-    )
-    trie2, leaf2 = trie(
-        ctx.index(),
-        (anchors_s - 1, ctx.ns + anchors_t),
-        (ctx.ns + 1 - anchors_s, ctx.nt + 1 - anchors_t),
-    )
+    # Trie 1: the reversed prefixes before the anchors, packed from (S$T)^R
+    # and cut at d - 1 symbols (an occurrence of length >= d has an anchor
+    # pair at most d - 1 symbols in; a cut LCP only under-reports).  Trie 2:
+    # the suffixes from the anchors, in S$T.  S's anchors first.
+    back0 = np.concatenate(ctx.back_starts(anchors_s, anchors_t))
+    lens1 = np.minimum(np.concatenate([anchors_s, anchors_t]) - 1, d - 1)
+    lens2 = np.concatenate([ctx.ns + 1 - anchors_s, ctx.nt + 1 - anchors_t])
+    order, lcps = _sort_packed_fragments(ctx.st_codes()[::-1], back0, lens1, d - 1)
+    trie1, leaf1 = _sorted_trie(order, lens1[order], lcps)
+    order, lcps = _index_order(ctx.index(), ctx.st_codes().size - back0, lens2)
+    trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
     elems = np.stack([leaf1, leaf2], axis=1)
     n_s = len(anchors_s)
     inst = TwoFamiliesInstance(trie1, trie2, elems[:n_s], elems[n_s:])

@@ -4,14 +4,15 @@ Strings are remapped onto a dense code alphabet [0, sigma) and kept as int64
 numpy code arrays.  Where word parallelism pays, fragments of a code array
 are packed into uint64 sort keys by one packer, pack_keys: the regimes' fragment
 sort (_sort_packed_fragments), the sync set's window ranks and the k-LCS
-modified-string keys all read it, and _sort_keys orders keys and reads their
-adjacent LCPs.
+modified-string keys all read it.  mismatch_offsets reads the first k + 1
+differing symbol slots off the XOR of two keys: adjacent LCPs for _sort_keys,
+lcp_k values for the k-LCS legs.
 Positions are 1-based throughout the public API; numpy internals are 0-based.
 
 The engines read one text per pair, S$T (built by lcs_engine._Ctx), with
 letters shifted up by one and the separator at code 0, so every terminator
-sorts below every letter; reversed prefixes are suffixes of its reversed
-view (S$T)^R = T^R $ S^R.
+sorts below every letter.  Only S$T gets a suffix index; reversed prefixes
+are packed words of (S$T)^R = T^R $ S^R, cut to the length a caller needs.
 """
 
 from __future__ import annotations
@@ -144,21 +145,33 @@ def _sort_keys(keys, lens, bits, major=None):
     per string of length lens[i].
 
     One stable lexsort (word 0 primary, after major if given) orders the
-    keys, and the first differing word of each adjacent pair gives its count
-    of common leading symbols.
+    keys, and the first differing symbol slot of each adjacent pair gives its
+    count of common leading symbols.
     """
     order = np.lexsort(keys[::-1] if major is None else (*keys[::-1], major))
-    m = keys.shape[1]
-    if m < 2:
-        return order, np.empty(0, dtype=np.int64)
-    n_words = keys.shape[0]
-    per = 64 // bits
     ks = keys[:, order]
-    x = ks[:, :-1] ^ ks[:, 1:]
-    word = np.argmax(x != 0, axis=0)
-    xw = x[word, np.arange(m - 1)]
-    common = np.where(
-        xw == 0, n_words * per, word * per + (per * bits - _bitlen_u64(xw)) // bits
-    )
+    common = mismatch_offsets(ks[:, :-1] ^ ks[:, 1:], bits, 0)[0]
     lo = lens[order]
     return order, np.minimum(common, np.minimum(lo[:-1], lo[1:]))
+
+
+def mismatch_offsets(x, bits, k):
+    """(k + 1, m) offsets of the first k + 1 nonzero symbol slots of each
+    column of x, the XOR of two packed keys of bits-wide symbols: row k' is
+    the keys' common prefix length with at most k' mismatches, or the key
+    width (n_words * (64 // bits)) where fewer slots differ.  Each row reads
+    the top set bit of the first nonzero word and clears that slot."""
+    (n_words, m), per = x.shape, 64 // bits
+    x = x.copy() if k else x  # k = 0 (every sort) clears nothing
+    cols, full = np.arange(m), np.uint64((1 << bits) - 1)
+    out = np.empty((k + 1, m), dtype=np.int64)
+    for row in range(k + 1):
+        word = np.argmax(x != 0, axis=0)
+        xw = x[word, cols]
+        slot = (per * bits - _bitlen_u64(xw)) // bits
+        out[row] = np.where(xw == 0, n_words * per, word * per + slot)
+        if row < k:
+            # A zero column's slot is per; clearing any slot of it is a no-op.
+            shift = (bits * (per - 1 - np.minimum(slot, per - 1))).astype(np.uint64)
+            x[word, cols] = xw & ~(full << shift)
+    return out

@@ -523,9 +523,62 @@ def test_klcs_driver_family_legs_forced():
         ke.FORCE_FAMILY_LEGS = old
 
 
-def test_klcs_indexes_st_and_its_reverse_once(monkeypatch):
-    # lcs and the k-LCS legs share one context, so a pair gets two indexes,
-    # each built once: one over S$T and one over its reversed view.
+def _check_klcs_witness(s, t, k, res):
+    a = s[res.pos_s - 1 : res.pos_s - 1 + res.length]
+    b = t[res.pos_t - 1 : res.pos_t - 1 + res.length]
+    assert len(a) == len(b) == res.length
+    mism = tuple(i + 1 for i in range(res.length) if a[i] != b[i])
+    assert mism == res.mismatches and len(mism) <= k
+
+
+@pytest.mark.parametrize("force_family", [False, True])
+def test_klcs_run_from_first_symbol_of_s(monkeypatch, force_family):
+    # S opens with a run whose best 1-mismatch match starts at S[1].  Its
+    # anchors come from the run's left misperiod, which only the sentinel #
+    # before S supplies; over plain S$T the driver returns 77.
+    import packedlcs.klcs_engine as ke
+
+    monkeypatch.setattr(ke, "FORCE_FAMILY_LEGS", force_family)
+    s, t = b"c" * 77 + b"acc", b"c" * 116
+    res = klcs(s, t, 1)
+    assert res.length == klcs_dp(s, t, 1)[0] == 80
+    _check_klcs_witness(s, t, 1, res)
+
+
+def _noisy_periodic(rng, n, root, sigma):
+    """n symbols of a periodic text over root, at a random phase, with one
+    symbol in 25 changed."""
+    off = int(rng.integers(0, len(root)))
+    out = np.resize(root, n + len(root))[off : off + n]
+    pos = rng.choice(n, size=max(1, n // 25), replace=False)
+    out[pos] = (out[pos] + rng.integers(1, sigma, size=pos.size)) % sigma
+    return bytes((out + 97).astype(np.uint8))
+
+
+def test_klcs_family_leg_at_k2_noisy_periodic(monkeypatch):
+    # Noisy periodic pairs of 150-400 symbols: the k = 2 legs reach tau >= 3,
+    # so the family leg runs and its witness shift comes from packed keys.
+    import packedlcs.klcs_engine as ke
+
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        sigma, p = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+        root = rng.integers(0, sigma, size=p)
+        s = _noisy_periodic(rng, int(rng.integers(150, 401)), root, sigma)
+        t = _noisy_periodic(rng, int(rng.integers(150, 401)), root, sigma)
+        want = klcs_dp(s, t, 2)[0]
+        for force_family in (False, True):
+            monkeypatch.setattr(ke, "FORCE_FAMILY_LEGS", force_family)
+            res = klcs(s, t, 2)
+            assert res.length == want, (s, t)
+            _check_klcs_witness(s, t, 2, res)
+            assert res.counters.solver_calls > 0 or not force_family
+
+
+def test_lcs_and_klcs_index_st_once(monkeypatch):
+    # The one suffix index is over S$T, and lcs builds it at most once; the
+    # k-LCS legs read reversed prefixes and forward windows as packed words,
+    # so klcs builds no index beyond its lcs call.
     from packedlcs.lcs_engine import _Ctx
     from packedlcs.suffix_index import SuffixIndex
 
@@ -540,14 +593,15 @@ def test_klcs_indexes_st_and_its_reverse_once(monkeypatch):
     rng = np.random.default_rng(85)
     s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
     ctx = _Ctx(s, t)
-    res = klcs(ctx, None, 1)
-    assert res.length == klcs_dp(s, t, 1)[0]
-    assert res.counters.solver_calls > 0
+    assert lcs(ctx, None).regime == "long"
     st = ctx.st_codes().tolist()
     assert len(st) == 300 + 300 + 1
-    assert sorted(texts) == sorted([st, st[::-1]])
-    assert ctx.index().codes.tolist() == st and ctx.rev_index().codes.tolist() == st[::-1]
-    assert len(texts) == 2
+    assert texts == [st]
+    texts.clear()
+    res = klcs(_Ctx(s, t), None, 1)
+    assert res.length == klcs_dp(s, t, 1)[0]
+    assert res.counters.solver_calls > 0
+    assert texts == [st]
 
 
 def test_klcs_runs_one_prefix_doubling_per_index(monkeypatch):

@@ -161,8 +161,8 @@ def test_long_exact_where_rank_codes_pass_int32():
 
 def test_long_regime_anchor_at_first_position():
     # With 1 among the cover's residues, position 1 of S and of T is an
-    # anchor with an empty reversed prefix; both read from the separator of
-    # (S$T)^R.  The only common substring of the maximal length starts there.
+    # anchor with an empty reversed prefix, an all-zero packed key.  The only
+    # common substring of the maximal length starts there.
     rng = np.random.default_rng(58)
     for d in (1, 3, 7, 9):
         assert build_d_cover(d).positions_in(5)[0] == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from packedlcs.lcs_engine import _Ctx
-from packedlcs.text_core import PackedLcsError
+from packedlcs.text_core import PackedLcsError, _sort_packed_fragments
 from packedlcs.suffix_index import (
     SparseRmq,
     SuffixIndex,
@@ -135,10 +135,11 @@ def _check_component_order(idx, starts0, spelled):
 
 def test_reversed_prefixes_and_suffixes_random():
     # The long regime and the k-LCS legs read the prefix before 1-based
-    # position a of S (b of T) backwards as the suffix of (S$T)^R at
+    # position a of S (b of T) backwards as packed words of (S$T)^R at
     # back_starts, and the suffix from it as the suffix of S$T at a - 1
-    # (ns + b).  Every such component, empty prefixes included, sorts by
-    # suffix rank, and capped LCEs give its LCPs.
+    # (ns + b).  The packed reversed prefixes, empty ones included, sort in
+    # naive order with their naive adjacent LCPs (capped at the key width);
+    # the suffixes sort by suffix rank, and capped LCEs give their LCPs.
     rng = np.random.default_rng(14)
     for _ in range(60):
         ns, nt = int(rng.integers(1, 30)), int(rng.integers(1, 30))
@@ -146,22 +147,20 @@ def test_reversed_prefixes_and_suffixes_random():
         t = bytes(rng.integers(97, 100, size=nt, dtype=np.uint8))
         ctx = _Ctx(s, t)
         a, b = np.arange(1, ns + 1), np.arange(1, nt + 1)
-        back_s, back_t = ctx.back_starts(a, b)
-        _check_component_order(
-            ctx.rev_index(),
-            np.concatenate([back_s, back_t]).tolist(),
-            [s[: i - 1][::-1] for i in a] + [t[: j - 1][::-1] for j in b],
-        )
+        back = np.concatenate(ctx.back_starts(a, b))
+        prefixes = [s[: i - 1][::-1] for i in a] + [t[: j - 1][::-1] for j in b]
+        width = int(rng.integers(1, max(ns, nt) + 1))
+        cut = [p[:width] for p in prefixes]
+        lens = np.array([len(p) for p in cut])
+        order, lcps = _sort_packed_fragments(ctx.st_codes()[::-1], back, lens, width)
+        got = [cut[c] for c in order]
+        assert got == sorted(cut)
+        assert lcps.tolist() == [naive_lcp(x, y) for x, y in zip(got, got[1:])]
         _check_component_order(
             ctx.index(),
             np.concatenate([a - 1, ns + b]).tolist(),
             [s[i - 1 :] for i in a] + [t[j - 1 :] for j in b],
         )
-        I, J = rng.integers(1, ns + 1, size=10), rng.integers(1, nt + 1, size=10)
-        bi, bj = ctx.back_starts(I, J)
-        want = [naive_lcp(s[: i - 1][::-1], t[: j - 1][::-1]) for i, j in zip(I, J)]
-        got = np.minimum(ctx.rev_index().lce_bulk(bi + 1, bj + 1), np.minimum(I, J) - 1)
-        assert got.tolist() == want
 
 
 def test_lcp_min_composition_property():

@@ -6,7 +6,10 @@ from packedlcs.text_core import (
     PackedLcsError,
     _as_byte_seq,
     make_alphabet,
+    mismatch_offsets,
+    pack_keys,
     read_text_file,
+    symbol_bits,
 )
 
 
@@ -120,6 +123,51 @@ def test_st_positions_random():
             assert alpha.decode(text[at_s] - 1) == s
             assert alpha.decode(text[at_t] - 1) == t
         assert rev[nt] == 0
+
+
+def _naive_offsets(x, bits, k):
+    """Slot-by-slot scan of XOR keys: offsets of the first k + 1 nonzero
+    symbol slots per column, the key width where fewer differ."""
+    per = 64 // bits
+    n_words, m = x.shape
+    out = np.full((k + 1, m), n_words * per, dtype=np.int64)
+    for c in range(m):
+        slots = [
+            (int(x[w, c]) >> (bits * (per - 1 - v))) & ((1 << bits) - 1)
+            for w in range(n_words)
+            for v in range(per)
+        ]
+        hits = [o for o, val in enumerate(slots) if val][: k + 1]
+        out[: len(hits), c] = hits
+    return out
+
+
+def test_mismatch_offsets_match_naive_scan():
+    # Symbol widths of 1-8 bits, keys of 1-3 words, k from 0 to 4; fragments
+    # of length 0 and of the full width, and equal keys, which report the
+    # full width in every row.
+    rng = np.random.default_rng(17)
+    for bits in range(1, 9):
+        for n_words in (1, 2, 3):
+            width = n_words * (64 // bits)
+            # Codes reach 2^bits - 2, so a key slot (code + 1) needs all bits.
+            codes = rng.integers(0, (1 << bits) - 1, size=200)
+            codes[0] = (1 << bits) - 2
+            assert symbol_bits(codes) == bits
+            m = 40
+            starts = rng.integers(0, codes.size - width, size=2 * m)
+            lens = rng.integers(0, width + 1, size=2 * m)
+            lens[:4] = [0, 0, width, width]
+            starts[m : m + 4] = starts[:4]  # equal keys: empty and full width
+            lens[m : m + 4] = lens[:4]
+            keys = pack_keys(codes, starts, lens, width)
+            assert keys.shape == (n_words, 2 * m)
+            x = keys[:, :m] ^ keys[:, m:]
+            for k in range(5):
+                got = mismatch_offsets(x, bits, k)
+                assert got.tolist() == _naive_offsets(x, bits, k).tolist()
+                assert (got[:, :4] == width).all()
+            assert (x == keys[:, :m] ^ keys[:, m:]).all()  # x is left as it was
 
 
 def test_fasta_reader(tmp_path):
