@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Walk through the exact LCS pipeline on a small genomic-looking input.
 
-Shows the three regimes (window tabulation, sync-set anchors, d-cover
-anchors), the dispatcher, and the brute-force cross check.
+Shows the dispatcher (the short regime, then one scan of the S$T suffix
+array), the paper's three regimes as its reference path (window tabulation,
+sync-set anchors, d-cover anchors), and the brute-force cross check.
 """
 
 import numpy as np
@@ -34,13 +35,16 @@ print(f"regime parameters: tau = {tau}, short window m = {m_short}, cap = {cap}"
 
 res = lcs(s, t)
 want, _, _ = lcs_dp(s, t)
-print(f"dispatcher: length {res.length} via the {res.regime} regime "
+# The short regime answers when the LCS is at most m; above m, one scan of
+# the suffix array of S$T reads the longest common prefix of SA-adjacent
+# S and T suffixes, exact at every length.
+print(f"dispatcher: length {res.length} via {res.regime} "
       f"(DP oracle says {want})")
 print("witness:", s[res.pos_s - 1 : res.pos_s - 1 + res.length].decode())
 
-# Each regime is sound everywhere (it never overreports); exact on its range.
-# At small n the medium window [3 tau, cap] may be empty and the long regime
-# takes over from cap upward.
+# The paper's regimes, run forced: each is sound everywhere (it never
+# overreports) and exact on its range.  At small n the medium window
+# [3 tau, cap] may be empty and the long regime covers cap upward.
 print("short regime  :", lcs_short(s, t, m_short).length, f"(exact for l <= {m_short})")
 print("medium regime :", lcs_medium(s, t).length,
       f"(exact window [{3 * tau}, {cap}]" + (", empty here)" if 3 * tau > cap else ")"))

@@ -1,6 +1,15 @@
-"""Exact longest common substring via the three-regime anchor strategy.
+"""Exact longest common substring: the short regime, then one scan of the
+suffix array of S$T.  The paper's three regimes are its reference path.
 
-Regimes, each sound everywhere and exact on its stated range:
+lcs() runs the short regime first and returns its answer whenever it is at
+most the window size m, where it is exact.  Otherwise it scans the suffix
+array of S$T once, the classical suffix-tree route (Weiner 1973, Farach
+1997): the longest common prefix of an S suffix and a T suffix is reached at
+a pair of suffixes adjacent in the suffix array with one from each string,
+so one batched LCE over those pairs is exact at every length.  The medium
+and long regimes run only when forced (lcs_medium, lcs_long, the CLI's
+--force-regime).  The regimes, each sound everywhere and exact on its stated
+range:
 
 * short (tabulation windows): both strings are cut into overlapping windows
   of length 2m at positions 1 mod m.  Every position p carries the longest
@@ -22,9 +31,8 @@ Regimes, each sound everywhere and exact on its stated range:
   ordered by the suffix index over S$T, trie 2, for the general solver.
   Exact whenever the true LCS is at least d.
 
-The dispatcher cascades short -> medium -> long and returns the maximum; no
-regime can overreport (every candidate is a genuine common substring), and
-the parameter choices make the exactness ranges cover every length.
+Neither a regime nor the scan can overreport: every candidate is a genuine
+common substring.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ class LcsResult:
     length: int
     pos_s: int  # 1-based witness starts; (1, 1) for an empty LCS
     pos_t: int
-    regime: str = ""
+    regime: str = ""  # "short" or "scan" from lcs(); "medium" or "long" when forced
 
     def better_than(self, other):
         return other is None or self.length > other.length
@@ -185,8 +193,8 @@ def lcs_suffix_automaton(a, b):
 
 
 class _Ctx:
-    """Shared per-pair state: joint codes, the one text S$T, and its lazy
-    suffix index."""
+    """Shared per-pair state: joint codes and the one text S$T.  Its suffix
+    index is built per call of index(), so it is freed with its caller."""
 
     def __init__(self, s_raw, t_raw):
         alphabet = make_alphabet(s_raw, t_raw)
@@ -195,7 +203,6 @@ class _Ctx:
         self.sigma = max(1, alphabet.size)
         self.ns, self.nt = len(self.s_codes), len(self.t_codes)
         self._st = None
-        self._index = None
 
     def st_codes(self):
         """S$T with letters shifted up by one and the separator at 0, so the
@@ -207,11 +214,9 @@ class _Ctx:
         return self._st
 
     def index(self):
-        """SuffixIndex over S$T; a suffix from a position of S or T spells
-        the rest of its string up to a terminator below every letter."""
-        if self._index is None:
-            self._index = SuffixIndex(self.st_codes())
-        return self._index
+        """A new SuffixIndex over S$T; a suffix from a position of S or T
+        spells the rest of its string up to a terminator below every letter."""
+        return SuffixIndex(self.st_codes())
 
     def back_starts(self, pos_s, pos_t):
         """0-based starts in (S$T)^R = st_codes()[::-1] of the prefixes
@@ -353,7 +358,8 @@ def _lcs_long(ctx, d):
 
 
 def regime_parameters(ns, nt, sigma):
-    """(tau, short window m, medium/long cap) for the dispatcher."""
+    """(tau, short window m, medium/long cap): the dispatcher's m and the
+    defaults of the forced medium and long regimes."""
     if min(ns, nt, sigma) < 0:
         raise PackedLcsError("lengths and sigma must be >= 0")
     n = max(ns, nt, 1)
@@ -522,21 +528,36 @@ def _medium_periodic(ctx, runs, case):
 # -- dispatcher --------------------------------------------------------------
 
 
+def _lcs_scan(ctx):
+    """Exact LCS at every length from the suffix array of S$T: the best S-T
+    pair of suffixes shares no more than some SA-adjacent pair with one
+    suffix from each string, and the separator keeps every such LCP inside
+    both strings.  One lce_bulk scores the adjacent pairs.  S and T must
+    be nonempty."""
+    idx = ctx.index()
+    # The separator's suffix, the only one that starts with code 0, ranks first.
+    sa = idx.sa[1:]
+    from_t = sa > ctx.ns
+    r = np.flatnonzero(from_t[:-1] != from_t[1:])
+    lcps = idx.lce_bulk(sa[r] + 1, sa[r + 1] + 1)
+    best = int(np.argmax(lcps))
+    if lcps[best] == 0:
+        return LcsResult(0, 1, 1, "scan")
+    a, b = sorted((int(sa[r[best]]), int(sa[r[best] + 1])))
+    return LcsResult(int(lcps[best]), a + 1, b - ctx.ns, "scan")
+
+
 def lcs(s, t):
-    """Exact LCS of two byte strings with witness positions.  s may instead
-    be a _Ctx whose indexes a caller goes on to share; t is then unused."""
+    """Exact LCS of two byte strings with witness positions: the short
+    regime's answer when it is at most m, else the S$T scan's.  Short goes
+    first because it costs one sort whatever the input, while the index's
+    doubling rounds grow with the longest repeat.  s may instead be a _Ctx,
+    whose codes a caller goes on to share; t is then unused."""
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
-    tau, m_short, cap = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
+    _, m_short, _ = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
     best = _lcs_short(ctx, m_short)
     if best.length <= m_short:
         return best
-    med = _lcs_medium(ctx, tau, cap)
-    if med.length > best.length:
-        best = med
-    if best.length >= cap:
-        lng = _lcs_long(ctx, cap)
-        if lng.length > best.length:
-            best = lng
-    return best
+    return _lcs_scan(ctx)

@@ -144,11 +144,19 @@ def _sort_keys(keys, lens, bits, major=None):
     """(order, adjacent LCPs) of packed keys of bits-wide symbols, one column
     per string of length lens[i].
 
-    One stable lexsort (word 0 primary, after major if given) orders the
-    keys, and the first differing symbol slot of each adjacent pair gives its
-    count of common leading symbols.
+    One sort orders the keys (word 0 primary, after major if given), equal
+    keys in input order, and the first differing symbol slot of each adjacent
+    pair gives its count of common leading symbols.  Keys of one word and no
+    major whose zero bits below the last symbol slot can hold the column
+    index take it there: the keys become distinct, so numpy's unstable
+    argsort, several times faster than lexsort, gives the stable order.
     """
-    order = np.lexsort(keys[::-1] if major is None else (*keys[::-1], major))
+    n_words, m = keys.shape
+    spare = 64 - bits * int(lens.max(initial=0))
+    if major is None and n_words == 1 and (m - 1).bit_length() <= spare:
+        order = np.argsort(keys[0] | np.arange(m, dtype=np.uint64))
+    else:
+        order = np.lexsort(keys[::-1] if major is None else (*keys[::-1], major))
     ks = keys[:, order]
     common = mismatch_offsets(ks[:, :-1] ^ ks[:, 1:], bits, 0)[0]
     lo = lens[order]

@@ -13,6 +13,7 @@ import pytest
 
 from packedlcs.lcs_engine import (
     lcs,
+    lcs_long,
     lcs_medium,
     lcs_suffix_automaton,
     regime_parameters,
@@ -103,6 +104,53 @@ def test_acceptance_lcs_oracle_equivalence():
         "lcs-oracle-equivalence",
         cases == 1200 and dt < 300,
         f"{cases} cases exact, witnesses verified, {dt:.1f}s (target < 300s)",
+    )
+
+
+def test_acceptance_forced_regimes_against_dp():
+    """lcs() reaches only the short regime and the S$T scan, so the medium
+    and long regimes are checked forced, on the planted generator above with
+    every length bucket crossed with sigma in {2, 4, 26}: lcs_medium is exact
+    for LCS in [3 tau, cap] (and in [3 tau, n] with the cap raised to n),
+    lcs_long(s, t, cap) for LCS >= cap; neither reports more than lcs_dp,
+    and every witness byte-verifies."""
+    rng = np.random.default_rng(1801)
+    t0 = time.time()
+    exact = {"medium": 0, "medium, cap n": 0, "long": 0}
+    for trial in range(180):
+        sigma = (2, 4, 26)[trial % 3]
+        n = int(rng.integers(32, 2001))
+        tau, m_short, cap = regime_parameters(n, n, sigma)
+        bucket = trial // 3 % 3
+        if bucket == 0:
+            ell = int(rng.integers(1, m_short + 1))
+        elif bucket == 1:
+            ell = int(rng.integers(m_short + 1, max(m_short + 2, cap + 1)))
+        else:
+            ell = int(rng.integers(cap, n // 2 + cap + 1))
+        s, t = planted_pair(rng, n, sigma, max(1, min(ell, n - 1)))
+        want, _, _ = lcs_dp(s, t)
+        # The regimes' own parameters, from the pair's lengths and alphabet.
+        tau, _, cap = regime_parameters(len(s), len(t), len(set(s) | set(t)))
+        n_max = max(len(s), len(t))
+        for name, res, lo, hi in (
+            ("medium", lcs_medium(s, t), 3 * tau, cap),
+            ("medium, cap n", lcs_medium(s, t, cap=n_max), 3 * tau, n_max),
+            ("long", lcs_long(s, t, cap), cap, n_max),
+        ):
+            assert res.length <= want, (trial, name, want, res)
+            assert (
+                s[res.pos_s - 1 : res.pos_s - 1 + res.length]
+                == t[res.pos_t - 1 : res.pos_t - 1 + res.length]
+            ), (trial, name, res)
+            if lo <= want <= hi:
+                assert res.length == want, (trial, name, want, res)
+                exact[name] += 1
+    dt = time.time() - t0
+    report(
+        "forced-regimes-vs-dp",
+        exact["medium, cap n"] >= 100 and exact["long"] >= 100,
+        f"exact where in range: {exact}, none over the oracle, {dt:.1f}s",
     )
 
 

@@ -593,7 +593,7 @@ def test_lcs_and_klcs_index_st_once(monkeypatch):
     rng = np.random.default_rng(85)
     s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
     ctx = _Ctx(s, t)
-    assert lcs(ctx, None).regime == "long"
+    assert lcs(ctx, None).regime == "scan"
     st = ctx.st_codes().tolist()
     assert len(st) == 300 + 300 + 1
     assert texts == [st]

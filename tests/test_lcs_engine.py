@@ -8,6 +8,7 @@ from packedlcs.lcs_engine import (
     _build_anchors_medium,
     _medium_case_one,
     _medium_periodic,
+    _lcs_scan,
     build_d_cover,
     lcs,
     lcs_long,
@@ -181,7 +182,7 @@ def test_medium_periodic_case():
     res = lcs_medium(s, s, tau=6)
     assert res.length == 128
     check_witness(s, s, res)
-    # The dispatcher is exact regardless (long regime takes over).
+    # The dispatcher is exact regardless (the S$T scan takes over).
     assert lcs(s, s).length == 128
 
 
@@ -322,6 +323,49 @@ def test_lcs_empty_inputs():
     assert lcs("", "abc").length == 0
     assert lcs("abc", "").length == 0
     assert lcs("", "").length == 0
+
+
+def test_dispatcher_runs_short_then_one_st_scan(monkeypatch):
+    # An LCS of at most m is the short regime's answer, with no index built;
+    # above m the answer is one scan of one index, over S$T.
+    from packedlcs.suffix_index import SuffixIndex
+
+    texts = []
+    init = SuffixIndex.__init__
+
+    def spy(self, codes, *args, **kwargs):
+        texts.append(np.array(codes).tolist())
+        init(self, codes, *args, **kwargs)
+
+    monkeypatch.setattr(SuffixIndex, "__init__", spy)
+    rng = np.random.default_rng(18)
+    s, t = rand_bytes(rng, 1500, 26), rand_bytes(rng, 1500, 26)
+    _, m_short, _ = regime_parameters(1500, 1500, 26)
+    res = lcs(s, t)
+    assert res.regime == "short" and res.length == lcs_dp(s, t)[0] <= m_short
+    check_witness(s, t, res)
+    assert texts == []
+    s, t = rand_bytes(rng, 1500, 2), rand_bytes(rng, 1500, 2)
+    ctx = _Ctx(s, t)
+    res = lcs(ctx, None)
+    assert res.regime == "scan" and res.length == lcs_dp(s, t)[0]
+    check_witness(s, t, res)
+    assert texts == [ctx.st_codes().tolist()]
+
+
+def test_st_scan_exact_at_every_length():
+    # The scan alone, also where lcs() would stop at the short regime: no
+    # common letter, one-symbol strings, a string inside the other, unary.
+    rng = np.random.default_rng(19)
+    pairs = [(b"ab", b"cd"), (b"a", b"a"), (b"xbanana", b"banana"), (b"a" * 40, b"a" * 7)]
+    for _ in range(150):
+        sigma = int(rng.integers(1, 5))
+        pairs.append((rand_bytes(rng, int(rng.integers(1, 200)), sigma),
+                      rand_bytes(rng, int(rng.integers(1, 200)), sigma)))
+    for s, t in pairs:
+        res = _lcs_scan(_Ctx(s, t))
+        assert res.regime == "scan" and res.length == lcs_dp(s, t)[0], (s, t)
+        check_witness(s, t, res)
 
 
 def test_lcs_equals_dp_random():
@@ -624,7 +668,7 @@ def _run_block(n, end):
 def test_repeated_run_block_beyond_index_free_sizes(entry):
     # The runs end in b in S and in c in T, so the LCS is the longest a-run:
     # above the short regime's m and below the cap, so the medium regime
-    # decides.  Case III's components from the run ends then agree for
+    # decides when forced (lcs() answers with the S$T scan).  Case III's components from the run ends then agree for
     # thousands of symbols, past one packed word, and S$T has 2^17 + 1
     # symbols.
     from packedlcs.suffix_index import SuffixIndex

@@ -5,6 +5,7 @@ from packedlcs.lcs_engine import _Ctx, lcs
 from packedlcs.text_core import (
     PackedLcsError,
     _as_byte_seq,
+    _sort_keys,
     make_alphabet,
     mismatch_offsets,
     pack_keys,
@@ -168,6 +169,24 @@ def test_mismatch_offsets_match_naive_scan():
                 assert got.tolist() == _naive_offsets(x, bits, k).tolist()
                 assert (got[:, :4] == width).all()
             assert (x == keys[:, :m] ^ keys[:, m:]).all()  # x is left as it was
+
+
+def test_one_word_key_sort_keeps_ties_in_input_order():
+    # Many equal keys of one word: where the index fits below the last
+    # symbol slot (short fragments, few bits) and where it does not (a full
+    # word of symbols), the order is lexsort's stable one.
+    rng = np.random.default_rng(18)
+    for bits, width in ((1, 4), (2, 18), (3, 21), (8, 8), (4, 16)):
+        codes = rng.integers(0, 2 ** bits - 1, size=300)
+        codes[0] = 2 ** bits - 2
+        starts = rng.integers(0, codes.size - width, size=2000)
+        lens = rng.integers(0, width + 1, size=2000)
+        keys = pack_keys(codes, starts, lens, width)
+        assert keys.shape[0] == 1
+        order, lcps = _sort_keys(keys, lens, bits)
+        assert order.tolist() == np.lexsort(keys[::-1]).tolist()
+        ks = keys[0, order]
+        assert (lcps[ks[1:] == ks[:-1]] == lens[order][1:][ks[1:] == ks[:-1]]).all()
 
 
 def test_fasta_reader(tmp_path):
