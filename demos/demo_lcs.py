@@ -2,8 +2,9 @@
 """Walk through the exact LCS pipeline on a small genomic-looking input.
 
 Shows the dispatcher (the short regime, then one scan of the S$T suffix
-array), the paper's three regimes as its reference path (window tabulation,
-sync-set anchors, d-cover anchors), and the brute-force cross check.
+array), the paper's three regimes as its reference path (S$T suffixes cut
+at m + 1 symbols, sync-set anchors, d-cover anchors), and the brute-force
+cross check.
 """
 
 import numpy as np

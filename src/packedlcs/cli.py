@@ -291,9 +291,6 @@ def cmd_bench(args):
         if args.generator == "planted-klcs":
             res = klcs(ctx, t, 1)
             regime, length = "klcs", res.length
-        elif args.medium_only:
-            res = lcs_medium(ctx, None)
-            regime, length = "medium", res.length
         else:
             res = lcs(ctx, t)
             regime, length = res.regime, res.length
@@ -357,8 +354,6 @@ def main(argv=None):
     p_b.add_argument("sigma", type=int)
     p_b.add_argument("repeats", type=int)
     p_b.add_argument("--seed", type=int, default=0)
-    p_b.add_argument("--medium-only", action="store_true",
-                     help="run only the medium regime (perf smoke)")
     p_b.add_argument("--no-timing", action="store_true")
     p_b.set_defaults(func=cmd_bench)
 

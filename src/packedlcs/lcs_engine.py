@@ -11,12 +11,12 @@ and long regimes run only when forced (lcs_medium, lcs_long, the CLI's
 --force-regime).  The regimes, each sound everywhere and exact on its stated
 range:
 
-* short (tabulation windows): both strings are cut into overlapping windows
-  of length 2m at positions 1 mod m.  Every position p carries the longest
-  window suffix that starts there, L(p) = min(2m - p mod m, n - p) symbols,
-  as a packed multi-word key; one sort of the S and T keys together finds the
-  longest common window substring at an adjacent S-T pair.  Exact whenever
-  the true LCS is at most m.
+* short (S$T suffixes cut at m + 1 symbols): every position of S and T
+  keys the first min(m + 1, rest of the text) symbols of its suffix of S$T,
+  packed into words; one sort of those keys puts the longest S-T common
+  prefix, capped at m + 1, at an adjacent S-T pair, the scan's argument at
+  depth m + 1.  An S key may run across the separator, which no T key holds.
+  The answer is min(LCS, m + 1): exact whenever the true LCS is at most m.
 
 * medium (synchronizing set + tau-run anchors over S$T): anchor pairs become
   Two String Families LCP instances; the aperiodic case is a (tau, cap)
@@ -62,9 +62,6 @@ class LcsResult:
     pos_s: int  # 1-based witness starts; (1, 1) for an empty LCS
     pos_t: int
     regime: str = ""  # "short" or "scan" from lcs(); "medium" or "long" when forced
-
-    def better_than(self, other):
-        return other is None or self.length > other.length
 
 
 @dataclass(frozen=True)
@@ -266,7 +263,42 @@ def _sorted_trie(order, lens_sorted, lcps):
     return trie, leaf_by_comp
 
 
+def _solve_families(trie1, leaf1, trie2, leaf2, anchors_s, anchors_t, regime):
+    """Solve the Two String Families instance whose elements are the leaf
+    pairs (leaf1[i], leaf2[i]), P's first: one per 1-based anchor of
+    anchors_s in S, then Q's, one per anchor of anchors_t in T.  A first
+    component reads backwards from its anchor, so the witness starts its
+    first-component LCP before the pair's anchors.  Returns the best pair as
+    an LcsResult, or None when a family is empty."""
+    elems = np.stack([leaf1, leaf2], axis=1)
+    n_p = len(anchors_s)
+    inst = TwoFamiliesInstance(trie1, trie2, elems[:n_p], elems[n_p:])
+    res = max_pair_lcp_general(inst)
+    if res.witness is None:
+        return None
+    pi, qi = res.witness
+    left = inst.first_lcp(pi, qi)
+    return LcsResult(res.value, int(anchors_s[pi]) - left, int(anchors_t[qi]) - left, regime)
+
+
 # -- short regime ------------------------------------------------------------
+
+
+def _best_st_pair(ctx, sa, boundary_lcps, regime):
+    """The best S-T pair of a sorted list sa of 0-based S$T starts (the
+    separator's left out): the longest common prefix of an S and a T entry
+    is reached at a pair adjacent in sa with one entry from each string.
+    boundary_lcps(r) gives the LCPs of the pairs (sa[r], sa[r + 1]) at the
+    ranks r where sa crosses between S and T.  Returns the longest as an
+    LcsResult with 1-based witnesses.  S and T must be nonempty."""
+    from_t = sa > ctx.ns
+    r = np.flatnonzero(from_t[:-1] != from_t[1:])
+    lcps = boundary_lcps(r)
+    best = int(np.argmax(lcps))
+    if lcps[best] == 0:
+        return LcsResult(0, 1, 1, regime)
+    a, b = sorted((int(sa[r[best]]), int(sa[r[best] + 1])))
+    return LcsResult(int(lcps[best]), a + 1, b - ctx.ns, regime)
 
 
 # Largest packed-key table the short regime builds, in uint64 words (2 GiB).
@@ -274,11 +306,12 @@ _SHORT_KEY_WORDS = 1 << 28
 
 
 def lcs_short(s, t, m):
-    """LCS via window tabulation; exact whenever the true LCS is <= m, and
-    above m whenever the true LCS is.  Keys take ceil(min(2m, n) / (64 //
-    bits)) uint64 words per position of S and T; a call whose keys would
-    exceed 2^28 words (2 GiB) raises PackedLcsError before allocating them.
-    The dispatcher's m (at most about 10) stays far below that."""
+    """LCS from the suffixes of S$T cut at m + 1 symbols: exact whenever the
+    true LCS is <= m, and in (m, LCS] otherwise.  Keys take
+    ceil(min(m + 1, ns + nt + 1) / (64 // bits)) uint64 words per position of
+    S and T, for bits = bit_length(sigma + 1); a call whose keys would exceed
+    2^28 words (2 GiB) raises PackedLcsError before allocating them.  The
+    dispatcher's m (at most about 10) stays far below that."""
     if m < 1:
         raise PackedLcsError("window size m must be >= 1")
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
@@ -288,29 +321,19 @@ def lcs_short(s, t, m):
 def _lcs_short(ctx, m):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
-    width = min(2 * m, max(ctx.ns, ctx.nt))
-    codes = np.concatenate([ctx.s_codes, ctx.t_codes])
-    words = codes.size * -(-width // (64 // symbol_bits(codes)))
+    st = ctx.st_codes()
+    width = min(m + 1, st.size)
+    words = (ctx.ns + ctx.nt) * -(-width // (64 // symbol_bits(st)))
     if words > _SHORT_KEY_WORDS:
         raise PackedLcsError(
             f"short regime with m={m} needs {words} key words, "
             f"above the budget of {_SHORT_KEY_WORDS}"
         )
-    # Windows start at multiples of m and span 2m symbols.  The one starting
-    # at m * floor(p / m) holds the longest window suffix from p; the suffix
-    # from p in the window before it is a prefix of that one.
-    lens = np.concatenate(
-        [np.minimum(2 * m - np.arange(n) % m, n - np.arange(n)) for n in (ctx.ns, ctx.nt)]
-    )
-    starts0 = np.arange(ctx.ns + ctx.nt)
-    order, lcps = _sort_packed_fragments(codes, starts0, lens, int(lens.max()))
-    from_t = order >= ctx.ns
-    vals = np.where(from_t[:-1] != from_t[1:], lcps, 0)
-    r = int(np.argmax(vals))
-    if vals[r] == 0:
-        return LcsResult(0, 1, 1, "short")
-    a, b = sorted((int(order[r]), int(order[r + 1])))
-    return LcsResult(int(vals[r]), a + 1, b - ctx.ns + 1, "short")
+    # Every position but the separator's keys its suffix of S$T cut at m + 1
+    # symbols; an S key may run across the separator, which no T key holds.
+    starts0 = np.delete(np.arange(st.size), ctx.ns)
+    order, lcps = _sort_packed_fragments(st, starts0, np.minimum(width, st.size - starts0), width)
+    return _best_st_pair(ctx, starts0[order], lambda r: lcps[r], "short")
 
 
 # -- long regime -------------------------------------------------------------
@@ -343,15 +366,8 @@ def _lcs_long(ctx, d):
     trie1, leaf1 = _sorted_trie(order, lens1[order], lcps)
     order, lcps = _index_order(ctx.index(), ctx.st_codes().size - back0, lens2)
     trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
-    elems = np.stack([leaf1, leaf2], axis=1)
-    n_s = len(anchors_s)
-    inst = TwoFamiliesInstance(trie1, trie2, elems[:n_s], elems[n_s:])
-    res = max_pair_lcp_general(inst)
-    if res.witness is None or res.value == 0:
-        return LcsResult(0, 1, 1, "long")
-    pi, qi = res.witness
-    left = inst.first_lcp(pi, qi)
-    return LcsResult(res.value, int(anchors_s[pi]) - left, int(anchors_t[qi]) - left, "long")
+    best = _solve_families(trie1, leaf1, trie2, leaf2, anchors_s, anchors_t, "long")
+    return best if best and best.length else LcsResult(0, 1, 1, "long")
 
 
 # -- medium regime -----------------------------------------------------------
@@ -513,15 +529,8 @@ def _medium_periodic(ctx, runs, case):
         lens2 = np.where(anchor <= ctx.ns, ctx.ns, ctx.ns + ctx.nt + 1) - starts2
         order, lcps = fragment_order_and_lcps(st, starts2, lens2, ctx.index)
         trie2, leaf2 = _sorted_trie(order, lens2[order], lcps)
-    elems = np.stack([leaf1, leaf2], axis=1)
-    inst = TwoFamiliesInstance(trie1, trie2, elems[:n_p], elems[n_p:])
-    res = max_pair_lcp_general(inst)
-    if res.witness is None:
-        return None
-    pi, qi = res.witness
-    left = inst.first_lcp(pi, qi)
-    return LcsResult(
-        res.value, int(anchor[pi]) - left, int(anchor[n_p + qi]) - ctx.ns - 1 - left, "medium"
+    return _solve_families(
+        trie1, leaf1, trie2, leaf2, anchor[:n_p], anchor[n_p:] - ctx.ns - 1, "medium"
     )
 
 
@@ -529,22 +538,13 @@ def _medium_periodic(ctx, runs, case):
 
 
 def _lcs_scan(ctx):
-    """Exact LCS at every length from the suffix array of S$T: the best S-T
-    pair of suffixes shares no more than some SA-adjacent pair with one
-    suffix from each string, and the separator keeps every such LCP inside
-    both strings.  One lce_bulk scores the adjacent pairs.  S and T must
-    be nonempty."""
+    """Exact LCS at every length from the suffix array of S$T: the
+    separator keeps every S-T LCP inside both strings, and one lce_bulk
+    scores the adjacent S-T pairs.  S and T must be nonempty."""
     idx = ctx.index()
     # The separator's suffix, the only one that starts with code 0, ranks first.
     sa = idx.sa[1:]
-    from_t = sa > ctx.ns
-    r = np.flatnonzero(from_t[:-1] != from_t[1:])
-    lcps = idx.lce_bulk(sa[r] + 1, sa[r + 1] + 1)
-    best = int(np.argmax(lcps))
-    if lcps[best] == 0:
-        return LcsResult(0, 1, 1, "scan")
-    a, b = sorted((int(sa[r[best]]), int(sa[r[best] + 1])))
-    return LcsResult(int(lcps[best]), a + 1, b - ctx.ns, "scan")
+    return _best_st_pair(ctx, sa, lambda r: idx.lce_bulk(sa[r] + 1, sa[r + 1] + 1), "scan")
 
 
 def lcs(s, t):
@@ -554,8 +554,6 @@ def lcs(s, t):
     doubling rounds grow with the longest repeat.  s may instead be a _Ctx,
     whose codes a caller goes on to share; t is then unused."""
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
-    if ctx.ns == 0 or ctx.nt == 0:
-        return LcsResult(0, 1, 1, "short")
     _, m_short, _ = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
     best = _lcs_short(ctx, m_short)
     if best.length <= m_short:

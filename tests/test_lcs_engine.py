@@ -353,6 +353,35 @@ def test_dispatcher_runs_short_then_one_st_scan(monkeypatch):
     assert texts == [ctx.st_codes().tolist()]
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("core_letters, s_letters, t_letters", [
+    (b"a", b"b", b"c"),
+    (b"ab", b"c", b"d"),
+    (b"abcdefgh", b"ijklmnopq", b"rstuvwxyz"),
+])
+def test_lcs_planted_at_m_and_m_plus_one(core_letters, s_letters, t_letters, extra):
+    # S and T share only the core's letters, and each holds them in one run,
+    # the core, so the LCS is the core's length: m answers from the short
+    # regime, m + 1 from the scan.
+    rng = np.random.default_rng(20 + extra)
+
+    def pick(letters, n):
+        return bytes(rng.choice(np.frombuffer(letters, dtype=np.uint8), size=n))
+
+    n = 300
+    sigma = len(core_letters + s_letters + t_letters)
+    _, m, _ = regime_parameters(n, n, sigma)
+    core = pick(core_letters, m + extra)
+    k = (n - len(core)) // 2
+    s = pick(s_letters, k) + core + pick(s_letters, n - k - len(core))
+    t = pick(t_letters, n - k - len(core)) + core + pick(t_letters, k)
+    assert regime_parameters(len(s), len(t), len(set(s) | set(t)))[1] == m
+    res = lcs(s, t)
+    assert res.length == lcs_dp(s, t)[0] == m + extra
+    assert res.regime == ("short" if extra == 0 else "scan")
+    check_witness(s, t, res)
+
+
 def test_st_scan_exact_at_every_length():
     # The scan alone, also where lcs() would stop at the short regime: no
     # common letter, one-symbol strings, a string inside the other, unary.
@@ -685,21 +714,34 @@ def test_repeated_run_block_beyond_index_free_sizes(entry):
     check_witness(s, t, res)
 
 
-@pytest.mark.parametrize("budget_words", [20, 19])
-def test_short_regime_key_budget_edge(monkeypatch, budget_words):
-    # Ten binary letters a side take 2-bit symbols, 32 to a word; with m = 3
-    # each position needs one word, so the call needs exactly 20 words.
+_A26 = b"abcdefghijklmnopqrstuvwxyz"
+
+
+@pytest.mark.parametrize(
+    "s, t, m, budget_words",
+    [
+        # Ten binary letters a side take 2-bit symbols, 32 to a word; with
+        # m = 3 each position needs one word, so the call needs exactly 20.
+        pytest.param(b"aabbaabbaa", b"ababababab", 3, 20, id="20"),
+        pytest.param(b"aabbaabbaa", b"ababababab", 3, 19, id="19"),
+        # 26 letters take 5-bit symbols, 12 to a word: a key of m + 1 symbols
+        # fits one word up to m = 11, so 43 positions need exactly 43 words.
+        pytest.param(_A26, b"nopqrstuvabcdefgh", 9, 43, id="a26-m9"),
+        pytest.param(_A26, b"nopqrstuvabcdefgh", 9, 42, id="a26-m9-over"),
+        pytest.param(_A26, b"nopqrstuvabcdefgh", 11, 43, id="a26-m11"),
+    ],
+)
+def test_short_regime_key_budget_edge(monkeypatch, s, t, m, budget_words):
     from packedlcs import lcs_engine
 
     monkeypatch.setattr(lcs_engine, "_SHORT_KEY_WORDS", budget_words)
-    s, t = b"aabbaabbaa", b"ababababab"
-    if budget_words == 20:
-        res = lcs_short(s, t, 3)
+    if budget_words >= len(s) + len(t):
+        res = lcs_short(s, t, m)
         assert res.length == lcs_dp(s, t)[0]
         check_witness(s, t, res)
     else:
         with pytest.raises(PackedLcsError, match="budget"):
-            lcs_short(s, t, 3)
+            lcs_short(s, t, m)
 
 
 def test_short_regime_refuses_keys_over_budget():

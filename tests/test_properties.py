@@ -21,6 +21,7 @@ from packedlcs.lcs_engine import (
     lcs_long,
     lcs_medium,
     lcs_short,
+    regime_parameters,
 )
 from packedlcs import klcs_engine
 from packedlcs.klcs_engine import klcs
@@ -73,6 +74,16 @@ def test_short_regime_matches_dp_up_to_m(pair, m):
         assert res.length == want
     else:
         assert m < res.length <= want
+
+
+@given(string_pairs())
+def test_lcs_matches_dp_from_the_regime_it_names(pair):
+    s, t = pair
+    want, _, _ = lcs_dp(s, t)
+    res = lcs(s, t)
+    assert res.length == want and _witnessed(s, t, res)
+    _, m, _ = regime_parameters(len(s), len(t), len(set(s) | set(t)))
+    assert res.regime == ("short" if want <= m else "scan")
 
 
 @st.composite
