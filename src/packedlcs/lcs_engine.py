@@ -1,15 +1,17 @@
-"""Exact longest common substring: the short regime, then one scan of the
-suffix array of S$T.  The paper's three regimes are its reference path.
+"""Exact longest common substring: the short regime on the packed seed of
+S$T, then one scan of its suffix array.  The paper's three regimes are its
+reference path.
 
-lcs() runs the short regime first and returns its answer whenever it is at
-most the window size m, where it is exact.  Otherwise it scans the suffix
-array of S$T once, the classical suffix-tree route (Weiner 1973, Farach
-1997): the longest common prefix of an S suffix and a T suffix is reached at
-a pair of suffixes adjacent in the suffix array with one from each string,
-so one batched LCE over those pairs is exact at every length.  The medium
-and long regimes run only when forced (lcs_medium, lcs_long, the CLI's
---force-regime).  The regimes, each sound everywhere and exact on its stated
-range:
+lcs() runs the short regime at m + 1 = per = 64 // bit_length(sigma + 1),
+one sorted word per suffix (the seed), and returns its answer whenever it
+is below per, where it is exact.  Otherwise it doubles the suffix array of
+S$T from that sort and scans it once, the classical suffix-tree route
+(Weiner 1973, Farach 1997): the longest common prefix of an S suffix and a
+T suffix is reached at a pair of suffixes adjacent in the suffix array with
+one from each string, so one batched LCE over those pairs is exact at every
+length.  The medium and long regimes run only when forced (lcs_medium,
+lcs_long, the CLI's --force-regime).  The regimes, each sound everywhere and
+exact on its stated range:
 
 * short (S$T suffixes cut at m + 1 symbols): every position of S and T
   keys the first min(m + 1, rest of the text) symbols of its suffix of S$T,
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +51,11 @@ from .text_core import (
     _as_byte_seq,
     _sort_packed_fragments,
     make_alphabet,
+    mismatch_offsets,
     pack_keys,
     symbol_bits,
 )
-from .suffix_index import SuffixIndex, build_compacted_trie
+from .suffix_index import SuffixIndex, build_compacted_trie, seed_sort
 from .sync_runs import build_sync_set, find_tau_runs
 from .family_lcp import TwoFamiliesInstance, max_pair_lcp_general
 
@@ -61,7 +65,7 @@ class LcsResult:
     length: int
     pos_s: int  # 1-based witness starts; (1, 1) for an empty LCS
     pos_t: int
-    regime: str = ""  # "short" or "scan" from lcs(); "medium" or "long" when forced
+    regime: str = ""  # "short" (LCS < per) or "scan" from lcs(); else forced
 
 
 @dataclass(frozen=True)
@@ -190,8 +194,8 @@ def lcs_suffix_automaton(a, b):
 
 
 class _Ctx:
-    """Shared per-pair state: joint codes and the one text S$T.  Its suffix
-    index is built per call of index(), so it is freed with its caller."""
+    """Shared per-pair state: joint codes, the one text S$T and its seed.
+    Its suffix index is built per call of index(), freed with its caller."""
 
     def __init__(self, s_raw, t_raw):
         alphabet = make_alphabet(s_raw, t_raw)
@@ -210,10 +214,15 @@ class _Ctx:
             ).astype(np.int64)
         return self._st
 
+    @cached_property
+    def seed(self):
+        """seed_sort of S$T, sorted once for the short regime and the index."""
+        return seed_sort(self.st_codes())
+
     def index(self):
         """A new SuffixIndex over S$T; a suffix from a position of S or T
         spells the rest of its string up to a terminator below every letter."""
-        return SuffixIndex(self.st_codes())
+        return SuffixIndex(self.st_codes(), self.seed)
 
     def back_starts(self, pos_s, pos_t):
         """0-based starts in (S$T)^R = st_codes()[::-1] of the prefixes
@@ -284,21 +293,37 @@ def _solve_families(trie1, leaf1, trie2, leaf2, anchors_s, anchors_t, regime):
 # -- short regime ------------------------------------------------------------
 
 
-def _best_st_pair(ctx, sa, boundary_lcps, regime):
+def _best_st_pair(ctx, sa, best_boundary, regime):
     """The best S-T pair of a sorted list sa of 0-based S$T starts (the
     separator's left out): the longest common prefix of an S and a T entry
     is reached at a pair adjacent in sa with one entry from each string.
-    boundary_lcps(r) gives the LCPs of the pairs (sa[r], sa[r + 1]) at the
-    ranks r where sa crosses between S and T.  Returns the longest as an
+    best_boundary(r) gives (p, LCP) for a longest pair (sa[p], sa[p + 1])
+    among the ranks r where sa crosses between S and T.  Returns it as an
     LcsResult with 1-based witnesses.  S and T must be nonempty."""
     from_t = sa > ctx.ns
-    r = np.flatnonzero(from_t[:-1] != from_t[1:])
-    lcps = boundary_lcps(r)
-    best = int(np.argmax(lcps))
-    if lcps[best] == 0:
+    p, length = best_boundary(np.flatnonzero(from_t[:-1] != from_t[1:]))
+    if length == 0:
         return LcsResult(0, 1, 1, regime)
-    a, b = sorted((int(sa[r[best]]), int(sa[r[best] + 1])))
-    return LcsResult(int(lcps[best]), a + 1, b - ctx.ns, regime)
+    a, b = sorted((int(sa[p]), int(sa[p + 1])))
+    return LcsResult(length, a + 1, b - ctx.ns, regime)
+
+
+def _longest(r, lcps):
+    q = int(np.argmax(lcps))
+    return int(r[q]), int(lcps[q])
+
+
+def _seed_boundary(seed, bits, sa, r, lce_bulk=None):
+    """best_boundary by seed words: the smallest XOR has the longest common
+    prefix, capped at per symbols.  With an index's lce_bulk, the pairs
+    whose words agree (XOR 0) get their full LCPs from it."""
+    x = seed[sa[r]] ^ seed[sa[r + 1]]
+    if lce_bulk is None or x.min():
+        q = int(np.argmin(x))
+        return int(r[q]), int(mismatch_offsets(x[None, q : q + 1], bits, 0)[0, 0])
+    r = r[x == 0]
+    del x
+    return _longest(r, lce_bulk(sa[r] + 1, sa[r + 1] + 1))
 
 
 # Largest packed-key table the short regime builds, in uint64 words (2 GiB).
@@ -311,7 +336,7 @@ def lcs_short(s, t, m):
     ceil(min(m + 1, ns + nt + 1) / (64 // bits)) uint64 words per position of
     S and T, for bits = bit_length(sigma + 1); a call whose keys would exceed
     2^28 words (2 GiB) raises PackedLcsError before allocating them.  The
-    dispatcher's m (at most about 10) stays far below that."""
+    dispatcher's m + 1 is one word's 64 // bits symbols."""
     if m < 1:
         raise PackedLcsError("window size m must be >= 1")
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
@@ -322,18 +347,24 @@ def _lcs_short(ctx, m):
     if ctx.ns == 0 or ctx.nt == 0:
         return LcsResult(0, 1, 1, "short")
     st = ctx.st_codes()
-    width = min(m + 1, st.size)
-    words = (ctx.ns + ctx.nt) * -(-width // (64 // symbol_bits(st)))
+    bits = symbol_bits(st)
+    per, width = 64 // bits, min(m + 1, st.size)
+    words = (ctx.ns + ctx.nt) * -(-width // per)
     if words > _SHORT_KEY_WORDS:
         raise PackedLcsError(
             f"short regime with m={m} needs {words} key words, "
             f"above the budget of {_SHORT_KEY_WORDS}"
         )
+    if width == min(per, st.size):
+        # One word per key: the seed.  The separator's, led by code 0, is first.
+        seed, order = ctx.seed
+        sa = order[1:]
+        return _best_st_pair(ctx, sa, lambda r: _seed_boundary(seed, bits, sa, r), "short")
     # Every position but the separator's keys its suffix of S$T cut at m + 1
     # symbols; an S key may run across the separator, which no T key holds.
     starts0 = np.delete(np.arange(st.size), ctx.ns)
     order, lcps = _sort_packed_fragments(st, starts0, np.minimum(width, st.size - starts0), width)
-    return _best_st_pair(ctx, starts0[order], lambda r: lcps[r], "short")
+    return _best_st_pair(ctx, starts0[order], lambda r: _longest(r, lcps[r]), "short")
 
 
 # -- long regime -------------------------------------------------------------
@@ -374,8 +405,8 @@ def _lcs_long(ctx, d):
 
 
 def regime_parameters(ns, nt, sigma):
-    """(tau, short window m, medium/long cap): the dispatcher's m and the
-    defaults of the forced medium and long regimes."""
+    """(tau, short window m, medium/long cap): the defaults of the forced
+    regimes; lcs() cuts its short step at the seed width per instead."""
     if min(ns, nt, sigma) < 0:
         raise PackedLcsError("lengths and sigma must be >= 0")
     n = max(ns, nt, 1)
@@ -539,23 +570,25 @@ def _medium_periodic(ctx, runs, case):
 
 def _lcs_scan(ctx):
     """Exact LCS at every length from the suffix array of S$T: the
-    separator keeps every S-T LCP inside both strings, and one lce_bulk
-    scores the adjacent S-T pairs.  S and T must be nonempty."""
+    separator keeps every S-T LCP inside both strings, and the adjacent S-T
+    pairs are scored by _seed_boundary.  S and T must be nonempty."""
     idx = ctx.index()
     # The separator's suffix, the only one that starts with code 0, ranks first.
     sa = idx.sa[1:]
-    return _best_st_pair(ctx, sa, lambda r: idx.lce_bulk(sa[r] + 1, sa[r + 1] + 1), "scan")
+    return _best_st_pair(
+        ctx, sa, lambda r: _seed_boundary(idx.seed, idx.bits, sa, r, idx.lce_bulk), "scan"
+    )
 
 
 def lcs(s, t):
     """Exact LCS of two byte strings with witness positions: the short
-    regime's answer when it is at most m, else the S$T scan's.  Short goes
-    first because it costs one sort whatever the input, while the index's
-    doubling rounds grow with the longest repeat.  s may instead be a _Ctx,
-    whose codes a caller goes on to share; t is then unused."""
+    regime's at m + 1 = per = 64 // bit_length(sigma + 1) when it is below
+    per, else the S$T scan's, whose index doubles from the same seed sort.
+    s may instead be a _Ctx, whose codes a caller goes on to share; t is
+    then unused."""
     ctx = s if isinstance(s, _Ctx) else _Ctx(s, t)
-    _, m_short, _ = regime_parameters(ctx.ns, ctx.nt, ctx.sigma)
-    best = _lcs_short(ctx, m_short)
-    if best.length <= m_short:
+    per = 64 // symbol_bits(ctx.st_codes())
+    best = _lcs_short(ctx, per - 1)
+    if best.length < per:
         return best
     return _lcs_scan(ctx)

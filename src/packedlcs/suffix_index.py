@@ -1,39 +1,50 @@
 """Suffix-array backed LCE queries and compacted tries.
 
 The suffix array is built by numpy prefix doubling (one int64 key sort per
-round, early exit once ranks are distinct).  The index keeps that one
-doubling's rank tables, and every longest-common-extension query is one
-batched descent over them, level by level.  A compacted trie of a sorted
-list with adjacent LCPs is its LCP-interval tree, built with numpy from
-nearest-smaller-value queries: int arrays by node id, ids in preorder.
+round, early exit once ranks are distinct) from a seed: every suffix's first
+per = 64 // bits symbols packed into one word and sorted once.  The index
+keeps the seed and the doubling's rank tables, and every LCE query is one
+batched descent over them, finished below per by a XOR of seed words.  A
+compacted trie of a sorted list with adjacent LCPs is its LCP-interval tree,
+built with numpy from nearest-smaller-value queries: int arrays by node id,
+ids in preorder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .text_core import PackedLcsError
+from .text_core import PackedLcsError, mismatch_offsets, pack_keys, symbol_bits
 
 
-def _prefix_doubling(codes):
-    """(suffix array, rank tables) of an int code sequence by prefix doubling.
-
-    ranks[level][i] is the dense rank of the length-2^level prefix of suffix i
-    (a prefix running past the end is padded below every letter).  Doubling
-    stops at the first level whose ranks are all distinct, so the last table
-    is the inverse suffix array and two distinct suffixes share fewer than
-    2^(len(ranks) - 1) symbols.
-    """
+def seed_sort(codes):
+    """(seed, order): seed[i] packs the first 64 // symbol_bits(codes)
+    symbols of suffix i (codes >= 0) into one word, zero past the end, and
+    order sorts the words, ties in no fixed order."""
     codes = np.asarray(codes, dtype=np.int64)
-    n = codes.size
+    per = 64 // symbol_bits(codes)
+    starts = np.arange(codes.size)
+    seed = pack_keys(codes, starts, np.minimum(per, codes.size - starts), per)[0]
+    return seed, np.argsort(seed)
+
+
+def _prefix_doubling(seed, order, per):
+    """(suffix array, rank tables) by prefix doubling from seed_sort's
+    words of per symbols: ranks[level][i] is the dense rank of the length
+    per * 2^level prefix of suffix i (a prefix running past the end is padded
+    below every letter).  Doubling stops at the first level whose ranks are
+    all distinct, so the last table is the inverse suffix array and two
+    distinct suffixes share fewer than per * 2^(len(ranks) - 1) symbols."""
+    n = seed.size
     if n == 0:
         return np.empty(0, dtype=np.int64), [np.empty(0, dtype=np.int64)]
     dtype = np.int32 if n < 2**31 else np.int64
-    _, rank = np.unique(codes, return_inverse=True)
-    rank = rank.astype(dtype)
+    ordered, rank = seed[order], np.empty(n, dtype=dtype)
+    rank[order[0]] = 0
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1], dtype=dtype)
+    del ordered
     ranks = [rank]
-    order = np.argsort(rank, kind="stable")
-    k = 1
+    k = per
     while int(rank[order[-1]]) < n - 1:
         # Sort by (rank, rank of the suffix k further or -1 past the end) as
         # one int64 key; ties need no order, since the final ranks are distinct.
@@ -51,8 +62,8 @@ def _prefix_doubling(codes):
 
 
 def suffix_array(codes):
-    """Suffix array (0-based) of an int code sequence via prefix doubling."""
-    return _prefix_doubling(codes)[0]
+    """Suffix array (0-based) of an int code sequence (codes >= 0)."""
+    return SuffixIndex(codes).sa
 
 
 class SparseRmq:
@@ -78,17 +89,19 @@ class SparseRmq:
 
 
 class SuffixIndex:
-    """Suffix array + inverse over a code sequence, with the rank tables of
-    the prefix doubling that built them.
-
-    Longest-common-extension queries between suffixes are batched over
-    position arrays (lce_bulk); lce answers one pair.
+    """Suffix array + inverse over a code sequence (codes >= 0), with the
+    seed (the codes' seed_sort, sorted here unless given) and the rank
+    tables of the prefix doubling that built them.  Longest-common-extension
+    queries are batched over position arrays (lce_bulk); lce answers one.
     """
 
-    def __init__(self, codes):
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.n = int(self.codes.size)
-        self.sa, self._rank_tables = _prefix_doubling(self.codes)
+    def __init__(self, codes, seed=None):
+        codes = np.asarray(codes, dtype=np.int64)
+        self.n = int(codes.size)
+        self.bits = symbol_bits(codes)
+        self.per = 64 // self.bits
+        self.seed, order = seed_sort(codes) if seed is None else seed
+        self.sa, self._rank_tables = _prefix_doubling(self.seed, order, self.per)
         self.isa = self._rank_tables[-1]
 
     def lce(self, i, j):
@@ -100,9 +113,10 @@ class SuffixIndex:
 
         A suffix paired with itself shares its whole length.  Distinct
         suffixes share fewer symbols than the last rank table's prefix
-        length, so one descent from the table below it adds 2^level wherever
-        the level's ranks agree: equal ranks of distinct suffixes imply
-        2^level symbols on both."""
+        length, so one descent from the table below it adds per * 2^level
+        wherever the level's ranks agree: equal ranks of distinct suffixes
+        imply that many symbols on both.  The rest, below per, is the first
+        differing slot of the two seed words."""
         i = np.asarray(i_arr, dtype=np.int64) - 1
         j = np.asarray(j_arr, dtype=np.int64) - 1
         n = self.n
@@ -112,13 +126,18 @@ class SuffixIndex:
         whole = n - i[same]
         res = np.zeros(i.shape, dtype=np.int64)
         for level in range(len(self._rank_tables) - 2, -1, -1):
-            step = 1 << level
+            step = self.per << level
             tab = self._rank_tables[level]
             live = np.flatnonzero((i < n) & (j < n))
             hit = live[tab[i[live]] == tab[j[live]]]
             res[hit] += step
             i[hit] += step
             j[hit] += step
+        live = np.flatnonzero((i < n) & (j < n))
+        x = self.seed[i[live]]
+        x ^= self.seed[j[live]]
+        del i, j  # the XOR's slot search is the peak of a large batch
+        res[live] += mismatch_offsets(x[None], self.bits, 0)[0]
         res[same] = whole
         return res
 

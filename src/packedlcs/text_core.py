@@ -97,6 +97,8 @@ def pack_keys(codes, starts0, lens, width):
     words.  Slots past a fragment's length are 0, so comparing keys word by
     word orders fragments lexicographically, a prefix before its extensions.
     Codes must be >= 0: a negative code + 1 would wrap or read as an end.
+    Dense start sets read their words off _spans, sparse ones are packed
+    symbol by symbol.
     """
     n = len(codes)
     if n and int(codes.min()) < 0:
@@ -104,11 +106,15 @@ def pack_keys(codes, starts0, lens, width):
     bits = symbol_bits(codes)
     per = 64 // bits
     n_words = max(1, -(-width // per))
-    src = np.zeros(n + width, dtype=np.uint64)  # zero tail: reads past codes
+    src = np.zeros(n + n_words * per, dtype=np.uint64)  # zero tail: reads past codes
     src[:n] = codes + 1
-    keys = np.zeros((n_words, len(starts0)), dtype=np.uint64)
-    for t in range(width):
-        keys[t // per] |= src[t:].take(starts0) << np.uint64(bits * (per - 1 - t % per))
+    if per.bit_length() * src.size < width * len(starts0):
+        spans = _spans(src, bits, per)
+        keys = np.stack([spans.take(starts0 + w * per) for w in range(n_words)])
+    else:
+        keys = np.zeros((n_words, len(starts0)), dtype=np.uint64)
+        for t in range(width):
+            keys[t // per] |= src[t:].take(starts0) << np.uint64(bits * (per - 1 - t % per))
     # keep[v] keeps the top v symbol slots of a word.
     used = (1 << (per * bits)) - 1
     keep = np.array(
@@ -119,18 +125,26 @@ def pack_keys(codes, starts0, lens, width):
     return keys
 
 
+def _spans(src, bits, per):
+    """spans[i] packs src[i : i + per], first symbol highest, in about
+    2 log2(per) whole-array shift-and-OR steps: a c-symbol span and the one
+    c further make 2c symbols, and one more symbol 2c + 1."""
+    spans, c = src, 1
+    for digit in bin(per)[3:]:
+        for more, w in ((spans, c), (src, 1))[: 1 + (digit == "1")]:
+            wide = spans << np.uint64(w * bits)
+            wide[:-c] |= more[c:]
+            spans, c = wide, c + w
+    return spans
+
+
 def _bitlen_u64(x):
-    """Vectorized bit_length for uint64 arrays."""
-    x = x.astype(np.uint64)
-    hi = (x >> np.uint64(32)).astype(np.uint32)
-    lo = (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    out = np.zeros(x.shape, dtype=np.int64)
-    mh = hi > 0
-    with np.errstate(divide="ignore"):
-        out[mh] = 32 + np.floor(np.log2(hi[mh])).astype(np.int64) + 1
-        ml = ~mh & (lo > 0)
-        out[ml] = np.floor(np.log2(lo[ml])).astype(np.int64) + 1
-    return out
+    """Vectorized bit_length for uint64 arrays, by the float64 exponent of
+    the top 53 bits (x >> 11), exact in a float64, or else of the low 11."""
+    x = x.astype(np.uint64, copy=False)
+    hi = np.frexp((x >> np.uint64(11)).astype(np.float64))[1]
+    lo = np.frexp((x & np.uint64(2047)).astype(np.float64))[1]
+    return np.where(hi > 0, hi + 11, lo)
 
 
 def _sort_packed_fragments(codes, starts0, lens, width):
@@ -168,13 +182,15 @@ def mismatch_offsets(x, bits, k):
     column of x, the XOR of two packed keys of bits-wide symbols: row k' is
     the keys' common prefix length with at most k' mismatches, or the key
     width (n_words * (64 // bits)) where fewer slots differ.  Each row reads
-    the top set bit of the first nonzero word and clears that slot."""
+    the top set bit of the first nonzero word (a view of the one word of
+    one-word keys) and clears that slot."""
     (n_words, m), per = x.shape, 64 // bits
     x = x.copy() if k else x  # k = 0 (every sort) clears nothing
-    cols, full = np.arange(m), np.uint64((1 << bits) - 1)
+    cols = slice(None) if n_words == 1 else np.arange(m)
+    full = np.uint64((1 << bits) - 1)
     out = np.empty((k + 1, m), dtype=np.int64)
     for row in range(k + 1):
-        word = np.argmax(x != 0, axis=0)
+        word = 0 if n_words == 1 else np.argmax(x != 0, axis=0)
         xw = x[word, cols]
         slot = (per * bits - _bitlen_u64(xw)) // bits
         out[row] = np.where(xw == 0, n_words * per, word * per + slot)

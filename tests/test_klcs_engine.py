@@ -575,6 +575,15 @@ def test_klcs_family_leg_at_k2_noisy_periodic(monkeypatch):
             assert res.counters.solver_calls > 0 or not force_family
 
 
+def _planted_past_the_seed():
+    # Random binary S and T of 300 symbols (LCS about 15) sharing a planted
+    # block of 40, above the seed width 32, so lcs reaches the S$T index.
+    rng = np.random.default_rng(85)
+    s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
+    core = rand_bytes(rng, 40, 2)
+    return s[:100] + core + s[140:], t[:180] + core + t[220:]
+
+
 def test_lcs_and_klcs_index_st_once(monkeypatch):
     # The one suffix index is over S$T, and lcs builds it at most once; the
     # k-LCS legs read reversed prefixes and forward windows as packed words,
@@ -590,8 +599,7 @@ def test_lcs_and_klcs_index_st_once(monkeypatch):
         init(self, codes, *args, **kwargs)
 
     monkeypatch.setattr(SuffixIndex, "__init__", spy)
-    rng = np.random.default_rng(85)
-    s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
+    s, t = _planted_past_the_seed()
     ctx = _Ctx(s, t)
     assert lcs(ctx, None).regime == "scan"
     st = ctx.st_codes().tolist()
@@ -622,8 +630,7 @@ def test_klcs_runs_one_prefix_doubling_per_index(monkeypatch):
 
     monkeypatch.setattr(suffix_index.SuffixIndex, "__init__", spy_init)
     monkeypatch.setattr(suffix_index, "_prefix_doubling", spy_doubling)
-    rng = np.random.default_rng(85)
-    s, t = rand_bytes(rng, 300, 2), rand_bytes(rng, 300, 2)
+    s, t = _planted_past_the_seed()
     assert klcs(s, t, 1).length == klcs_dp(s, t, 1)[0]
     assert calls["builds"] >= 1
     assert calls["doublings"] == calls["builds"]

@@ -326,8 +326,10 @@ def test_lcs_empty_inputs():
 
 
 def test_dispatcher_runs_short_then_one_st_scan(monkeypatch):
-    # An LCS of at most m is the short regime's answer, with no index built;
-    # above m the answer is one scan of one index, over S$T.
+    # An LCS below the seed width per = 64 // bit_length(sigma + 1) is the
+    # short regime's answer, with no index built; from per on the answer is
+    # one scan of one index, over S$T.  A planted block of 40 symbols takes
+    # the binary pair above per = 32.
     from packedlcs.suffix_index import SuffixIndex
 
     texts = []
@@ -340,12 +342,12 @@ def test_dispatcher_runs_short_then_one_st_scan(monkeypatch):
     monkeypatch.setattr(SuffixIndex, "__init__", spy)
     rng = np.random.default_rng(18)
     s, t = rand_bytes(rng, 1500, 26), rand_bytes(rng, 1500, 26)
-    _, m_short, _ = regime_parameters(1500, 1500, 26)
+    per = 64 // (26 + 1).bit_length()
     res = lcs(s, t)
-    assert res.regime == "short" and res.length == lcs_dp(s, t)[0] <= m_short
+    assert res.regime == "short" and res.length == lcs_dp(s, t)[0] < per
     check_witness(s, t, res)
     assert texts == []
-    s, t = rand_bytes(rng, 1500, 2), rand_bytes(rng, 1500, 2)
+    s, t = planted_pair(rng, 1500, 2, 40)
     ctx = _Ctx(s, t)
     res = lcs(ctx, None)
     assert res.regime == "scan" and res.length == lcs_dp(s, t)[0]
@@ -359,10 +361,10 @@ def test_dispatcher_runs_short_then_one_st_scan(monkeypatch):
     (b"ab", b"c", b"d"),
     (b"abcdefgh", b"ijklmnopq", b"rstuvwxyz"),
 ])
-def test_lcs_planted_at_m_and_m_plus_one(core_letters, s_letters, t_letters, extra):
+def test_lcs_planted_at_per_minus_one_and_per(core_letters, s_letters, t_letters, extra):
     # S and T share only the core's letters, and each holds them in one run,
-    # the core, so the LCS is the core's length: m answers from the short
-    # regime, m + 1 from the scan.
+    # the core, so the LCS is the core's length: per - 1 answers from the
+    # short regime's seed, per from the scan.
     rng = np.random.default_rng(20 + extra)
 
     def pick(letters, n):
@@ -370,16 +372,112 @@ def test_lcs_planted_at_m_and_m_plus_one(core_letters, s_letters, t_letters, ext
 
     n = 300
     sigma = len(core_letters + s_letters + t_letters)
-    _, m, _ = regime_parameters(n, n, sigma)
-    core = pick(core_letters, m + extra)
+    per = 64 // (sigma + 1).bit_length()
+    core = pick(core_letters, per - 1 + extra)
     k = (n - len(core)) // 2
     s = pick(s_letters, k) + core + pick(s_letters, n - k - len(core))
     t = pick(t_letters, n - k - len(core)) + core + pick(t_letters, k)
-    assert regime_parameters(len(s), len(t), len(set(s) | set(t)))[1] == m
+    assert 64 // (len(set(s) | set(t)) + 1).bit_length() == per
     res = lcs(s, t)
-    assert res.length == lcs_dp(s, t)[0] == m + extra
+    assert res.length == lcs_dp(s, t)[0] == per - 1 + extra
     assert res.regime == ("short" if extra == 0 else "scan")
     check_witness(s, t, res)
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 26, 200])
+def test_seed_answers_below_per_and_the_scan_from_per(sigma):
+    # per = 64 // bit_length(sigma + 1) is 32, 21, 12 and 7 symbols.  The
+    # core uses two letters (one at sigma 2) and S and T fill around it with
+    # letters of their own, so the LCS is the core's length: per - 1 is the
+    # seed's answer, per and per + 1 the scan's.
+    rng = np.random.default_rng(sigma)
+    per = 64 // (sigma + 1).bit_length()
+    core_letters = 1 if sigma == 2 else 2
+    s_letters = np.arange(core_letters, (sigma + core_letters + 1) // 2)
+    t_letters = np.arange((sigma + core_letters + 1) // 2, sigma)
+
+    def fill(letters, n):
+        if not letters.size:
+            return b""
+        return bytes(np.concatenate([letters, rng.choice(letters, size=n)]).astype(np.uint8))
+
+    for length in (per - 1, per, per + 1):
+        core = rng.integers(0, core_letters, size=length)
+        core[: core_letters] = np.arange(core_letters)
+        core = bytes(core.astype(np.uint8))
+        s = fill(s_letters, 120) + core + fill(s_letters, 80)
+        t = fill(t_letters, 70) + core + fill(t_letters, 130)
+        assert len(set(s) | set(t)) == sigma
+        res = lcs(s, t)
+        assert res.length == lcs_dp(s, t)[0] == length
+        assert res.regime == ("short" if length < per else "scan")
+        check_witness(s, t, res)
+
+
+def test_default_path_sorts_packed_keys_once_per_pair(monkeypatch):
+    # lcs() packs and sorts one seed word per suffix of S$T: the short
+    # regime reads its answer off that sort, and the scan's index doubles
+    # from it, with no other packed-key sort.
+    from collections import Counter
+
+    from packedlcs import lcs_engine, suffix_index, text_core
+
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for mod in (text_core, suffix_index, lcs_engine):
+        monkeypatch.setattr(mod, "pack_keys", spy("pack_keys", mod.pack_keys))
+    for mod in (suffix_index, lcs_engine):
+        monkeypatch.setattr(mod, "seed_sort", spy("seed_sort", mod.seed_sort))
+    monkeypatch.setattr(text_core, "_sort_keys", spy("_sort_keys", text_core._sort_keys))
+    rng = np.random.default_rng(23)
+    pairs = [
+        ((rand_bytes(rng, 800, 26), rand_bytes(rng, 800, 26)), "short"),
+        (planted_pair(rng, 800, 2, 45), "scan"),
+        ((b"ab" * 300 + b"x", b"ba" * 300 + b"y"), "scan"),
+    ]
+    for (s, t), regime in pairs:
+        calls.clear()
+        res = lcs(s, t)
+        assert res.regime == regime and res.length == lcs_dp(s, t)[0]
+        assert calls == {"pack_keys": 1, "seed_sort": 1}
+
+
+def test_lcs_matches_the_automaton_at_2_16():
+    # At n = 2^16, against the suffix automaton, which shares neither the
+    # seed nor the index: random text, period 5 with substitutions, unary
+    # text against another letter and against itself, and blocks planted at
+    # per - 1 and per.
+    rng = np.random.default_rng(24)
+    n = 1 << 16
+    pairs = [(rand_bytes(rng, n, sigma), rand_bytes(rng, n, sigma)) for sigma in (2, 4, 26)]
+    root = np.frombuffer(rand_bytes(rng, 5, 2), dtype=np.uint8)
+    periodic = []
+    for shift in (0, 2):
+        text = np.tile(root, n // 5 + 2)[shift : shift + n].copy()
+        hit = rng.integers(0, n, size=40)
+        text[hit] = 97 + (text[hit] - 96) % 2
+        periodic.append(bytes(text))
+    pairs.append(tuple(periodic))
+    pairs += [(b"a" * n, b"b" * n), (b"a" * n, b"a" * (n - 7))]
+    for sigma in (4, 26):
+        per = 64 // (sigma + 1).bit_length()
+        for length in (per - 1, per):
+            core = rand_bytes(rng, length, sigma)
+            s, t = rand_bytes(rng, n, sigma), rand_bytes(rng, n, sigma)
+            s = s[:1000] + core + s[1000 + length :]
+            pairs.append((s, t[:5000] + core + t[5000 + length :]))
+    for s, t in pairs:
+        want = lcs_suffix_automaton(s, t)[0]
+        res = lcs(s, t)
+        assert res.length == want
+        check_witness(s, t, res)
 
 
 def test_st_scan_exact_at_every_length():

@@ -82,8 +82,8 @@ def test_lcs_matches_dp_from_the_regime_it_names(pair):
     want, _, _ = lcs_dp(s, t)
     res = lcs(s, t)
     assert res.length == want and _witnessed(s, t, res)
-    _, m, _ = regime_parameters(len(s), len(t), len(set(s) | set(t)))
-    assert res.regime == ("short" if want <= m else "scan")
+    per = 64 // (len(set(s) | set(t)) + 1).bit_length()
+    assert res.regime == ("short" if want < per else "scan")
 
 
 @st.composite

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from packedlcs.lcs_engine import _Ctx
-from packedlcs.text_core import PackedLcsError, _sort_packed_fragments
+from packedlcs.text_core import PackedLcsError, _sort_packed_fragments, symbol_bits
 from packedlcs.suffix_index import (
     SparseRmq,
     SuffixIndex,
@@ -273,6 +273,46 @@ def test_lce_bulk_self_pairs_span_the_suffix():
     idx = SuffixIndex(codes)
     pos = np.arange(1, 301)
     assert idx.lce_bulk(pos, pos).tolist() == (301 - pos).tolist()
+
+
+def _naive_lce(codes, i, j):
+    k = 0
+    while i + k < len(codes) and j + k < len(codes) and codes[i + k] == codes[j + k]:
+        k += 1
+    return k
+
+
+def test_text_shorter_than_the_seed_width_runs_no_doubling_round():
+    # Each suffix fits in its seed word, whose zero slots past the end differ
+    # from every symbol, so the seed ranks are already the suffix order.
+    rng = np.random.default_rng(22)
+    for sigma in (1, 2, 4, 26, 200):
+        per = 64 // symbol_bits(np.array([sigma - 1]))
+        for n in (1, 2, per - 1):
+            codes = rng.integers(0, sigma, size=n).astype(np.int64)
+            codes[-1] = sigma - 1  # the widest code, which sets per
+            if n > 2:
+                codes[: n // 2] = codes[0]  # a run, so words share leading symbols
+            idx = SuffixIndex(codes)
+            assert idx.per == per and len(idx._rank_tables) == 1
+            assert idx.sa.tolist() == naive_sa(codes.tolist())
+            i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+            want = [_naive_lce(codes, a, b) for a, b in zip(i.tolist(), j.tolist())]
+            assert idx.lce_bulk(i + 1, j + 1).tolist() == want
+
+
+def test_lce_bulk_remainder_reaches_the_end_of_the_text():
+    # Periodic and unary texts of per * 2^j - 1, per * 2^j and per * 2^j + 1
+    # symbols: a suffix that is a prefix of another ends inside the last seed
+    # word read, where the other word still holds symbols.
+    for root in ([0], [0, 1], [2, 0, 1], [5, 5, 6, 5, 6]):
+        per = 64 // symbol_bits(np.array(root))
+        for n in (per - 1, per, per + 1, 2 * per - 1, 2 * per + 1, 4 * per + 1):
+            codes = np.array((root * n)[:n], dtype=np.int64)
+            idx = SuffixIndex(codes)
+            i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+            want = [_naive_lce(codes, a, b) for a, b in zip(i.tolist(), j.tolist())]
+            assert idx.lce_bulk(i + 1, j + 1).tolist() == want, (root, n)
 
 
 def test_sparse_rmq_matches_scan():

@@ -126,6 +126,33 @@ def test_st_positions_random():
         assert rev[nt] == 0
 
 
+def _naive_keys(codes, starts, lens, width):
+    bits = symbol_bits(codes)
+    per = 64 // bits
+    keys = np.zeros((max(1, -(-width // per)), len(starts)), dtype=np.uint64)
+    for col, (a, ln) in enumerate(zip(starts.tolist(), lens.tolist())):
+        for t in range(ln):
+            slot = int(codes[a + t]) + 1 if a + t < len(codes) else 0
+            keys[t // per, col] |= np.uint64(slot << (bits * (per - 1 - t % per)))
+    return keys
+
+
+def test_pack_keys_match_naive_packing_on_dense_and_sparse_starts():
+    # Every position (read off doubled spans) and three positions (packed
+    # symbol by symbol), with widths below, at and above one word.
+    rng = np.random.default_rng(16)
+    for bits in range(2, 10):
+        codes = rng.integers(0, (1 << bits) - 1, size=int(rng.integers(1, 90)))
+        codes[0] = (1 << bits) - 2
+        per = 64 // bits
+        for width in (1, per - 1, per, per + 1, 2 * per + 3):
+            n = codes.size
+            for starts in (np.arange(n + 1), rng.integers(0, n + 1, size=3)):
+                lens = np.minimum(rng.integers(0, width + 1, size=starts.size), n - starts)
+                got = pack_keys(codes, starts, lens, width)
+                assert got.tolist() == _naive_keys(codes, starts, lens, width).tolist()
+
+
 def _naive_offsets(x, bits, k):
     """Slot-by-slot scan of XOR keys: offsets of the first k + 1 nonzero
     symbol slots per column, the key width where fewer differ."""
